@@ -1,14 +1,9 @@
 //! Analysis-stage benchmarks: Q1 provisioning, the Q2 stratified effect,
-//! Q3 environmental discovery, and the PDP ablation (grid partial
-//! dependence vs the paper's stratified `N(·)` normalization).
+//! Q3 environmental discovery and rack-day table assembly.
 
 use criterion::{criterion_group, criterion_main, Criterion};
-use rainshine_cart::dataset::CartDataset;
 use rainshine_cart::params::CartParams;
-use rainshine_cart::pdp::{
-    grid_over_column, partial_dependence_continuous, stratified_effect_nominal,
-};
-use rainshine_cart::tree::Tree;
+use rainshine_cart::pdp::stratified_effect_nominal;
 use rainshine_core::dataset::{rack_day_table, FaultFilter};
 use rainshine_core::q1::{provision_servers, ProvisionParams};
 use rainshine_core::q3::{dc_subset, env_analysis};
@@ -60,48 +55,6 @@ fn bench_q2_stratified(c: &mut Criterion) {
     group.finish();
 }
 
-/// Ablation (DESIGN.md §5): grid PDP vs stratified normalization — the two
-/// ways to ask "what does temperature do, holding everything else fixed".
-fn bench_pdp_ablation(c: &mut Criterion) {
-    let out = sim();
-    let table = rack_day_table(&out, FaultFilter::AllHardware, 4).unwrap();
-    let cart = CartParams::default().with_min_sizes(200, 100).with_cp(0.002);
-    let ds = CartDataset::regression(
-        &table,
-        columns::FAILURE_RATE,
-        &[
-            columns::TEMPERATURE_F,
-            columns::RELATIVE_HUMIDITY,
-            columns::SKU,
-            columns::WORKLOAD,
-            columns::AGE_MONTHS,
-        ],
-    )
-    .unwrap();
-    let tree = Tree::fit(&ds, &cart).unwrap();
-    let grid = grid_over_column(&table, columns::TEMPERATURE_F, 10).unwrap();
-    let mut group = c.benchmark_group("pdp_ablation");
-    group.sample_size(10);
-    group.bench_function("grid_pdp", |b| {
-        b.iter(|| {
-            partial_dependence_continuous(&tree, &table, columns::TEMPERATURE_F, &grid).unwrap()
-        })
-    });
-    group.bench_function("stratified", |b| {
-        b.iter(|| {
-            stratified_effect_nominal(
-                &table,
-                columns::FAILURE_RATE,
-                columns::SKU,
-                &[columns::TEMPERATURE_F, columns::WORKLOAD, columns::AGE_MONTHS],
-                &cart,
-            )
-            .unwrap()
-        })
-    });
-    group.finish();
-}
-
 fn bench_q3(c: &mut Criterion) {
     let out = sim();
     let disk = rack_day_table(&out, FaultFilter::Component(HardwareFault::Disk), 2).unwrap();
@@ -125,12 +78,5 @@ fn bench_dataset_assembly(c: &mut Criterion) {
     group.finish();
 }
 
-criterion_group!(
-    benches,
-    bench_q1,
-    bench_q2_stratified,
-    bench_pdp_ablation,
-    bench_q3,
-    bench_dataset_assembly
-);
+criterion_group!(benches, bench_q1, bench_q2_stratified, bench_q3, bench_dataset_assembly);
 criterion_main!(benches);

@@ -1,26 +1,23 @@
 //! CART benchmarks and the nominal-split-search ablation (DESIGN.md §5):
 //! ordered-by-response vs exhaustive subset search, fit cost vs dataset
-//! size, and the pruning / cross-validation machinery.
+//! size, and prediction.
 
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
 use rainshine_cart::dataset::CartDataset;
-use rainshine_cart::forest::{Forest, ForestParams};
 use rainshine_cart::params::{CartParams, NominalSearch};
-use rainshine_cart::prune::{cp_sequence, cross_validate, pruned};
 use rainshine_cart::tree::Tree;
-use rainshine_parallel::Parallelism;
-use rainshine_telemetry::table::{FeatureKind, Field, Schema, Table, TableBuilder, Value};
+use rainshine_telemetry::frame::{FeatureKind, Field, Frame, FrameBuilder, Schema, Value};
 
 /// Synthetic regression table: two continuous features, one 8-way nominal,
 /// response with planted structure plus deterministic pseudo-noise.
-fn synthetic_table(rows: usize) -> Table {
+fn synthetic_table(rows: usize) -> Frame {
     let schema = Schema::new(vec![
         Field::new("x", FeatureKind::Continuous),
         Field::new("z", FeatureKind::Continuous),
         Field::new("k", FeatureKind::Nominal),
         Field::new("y", FeatureKind::Continuous),
     ]);
-    let mut b = TableBuilder::new(schema);
+    let mut b = FrameBuilder::new(schema);
     for i in 0..rows {
         let x = (i % 100) as f64;
         let z = ((i * 7) % 50) as f64;
@@ -38,7 +35,7 @@ fn synthetic_table(rows: usize) -> Table {
         ])
         .unwrap();
     }
-    b.build()
+    b.build().unwrap()
 }
 
 fn bench_fit_scaling(c: &mut Criterion) {
@@ -68,18 +65,6 @@ fn bench_nominal_search_ablation(c: &mut Criterion) {
     group.finish();
 }
 
-fn bench_prune_and_cv(c: &mut Criterion) {
-    let table = synthetic_table(10_000);
-    let ds = CartDataset::regression(&table, "y", &["x", "z", "k"]).unwrap();
-    let params = CartParams::default().with_min_sizes(100, 50).with_cp(0.0001);
-    let tree = Tree::fit(&ds, &params).unwrap();
-    c.bench_function("cp_sequence", |b| b.iter(|| cp_sequence(&tree)));
-    c.bench_function("prune_at_cp", |b| b.iter(|| pruned(&tree, 0.01)));
-    c.bench_function("cross_validate_5fold", |b| {
-        b.iter(|| cross_validate(&ds, &params, 5, 42).unwrap())
-    });
-}
-
 fn bench_predict(c: &mut Criterion) {
     let table = synthetic_table(50_000);
     let ds = CartDataset::regression(&table, "y", &["x", "z", "k"]).unwrap();
@@ -88,36 +73,5 @@ fn bench_predict(c: &mut Criterion) {
     c.bench_function("predict_50k_rows", |b| b.iter(|| tree.predict(&table).unwrap()));
 }
 
-/// Forest fitting at 1 / 2 / 8 worker threads. The fitted forest is
-/// bit-identical across the variants (each tree owns a derived seed);
-/// only wall-clock time should move. On a single-core host the three
-/// variants measure roughly the same, plus thread-spawn overhead.
-fn bench_forest_threads(c: &mut Criterion) {
-    let table = synthetic_table(10_000);
-    let ds = CartDataset::regression(&table, "y", &["x", "z", "k"]).unwrap();
-    let mut group = c.benchmark_group("forest_fit_threads");
-    for (name, parallelism) in [
-        ("1", Parallelism::Sequential),
-        ("2", Parallelism::Threads(2)),
-        ("8", Parallelism::Threads(8)),
-    ] {
-        let params = ForestParams {
-            trees: 16,
-            parallelism,
-            tree_params: CartParams::default().with_min_sizes(100, 50),
-            ..ForestParams::default()
-        };
-        group.bench_function(name, |b| b.iter(|| Forest::fit(&ds, &params).unwrap()));
-    }
-    group.finish();
-}
-
-criterion_group!(
-    benches,
-    bench_fit_scaling,
-    bench_nominal_search_ablation,
-    bench_prune_and_cv,
-    bench_predict,
-    bench_forest_threads
-);
+criterion_group!(benches, bench_fit_scaling, bench_nominal_search_ablation, bench_predict);
 criterion_main!(benches);

@@ -8,12 +8,12 @@ use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
 use rainshine_cart::dataset::CartDataset;
 use rainshine_cart::params::CartParams;
 use rainshine_cart::tree::Tree;
-use rainshine_telemetry::table::{FeatureKind, Field, Schema, Table, TableBuilder, Value};
+use rainshine_telemetry::frame::{FeatureKind, Field, Frame, FrameBuilder, Schema, Value};
 
 /// Synthetic regression table: three continuous features (many distinct
 /// values, so ordered scans dominate), one 8-way nominal, planted
 /// structure plus deterministic pseudo-noise.
-fn synthetic_table(rows: usize) -> Table {
+fn synthetic_table(rows: usize) -> Frame {
     let schema = Schema::new(vec![
         Field::new("x", FeatureKind::Continuous),
         Field::new("z", FeatureKind::Continuous),
@@ -21,7 +21,7 @@ fn synthetic_table(rows: usize) -> Table {
         Field::new("k", FeatureKind::Nominal),
         Field::new("y", FeatureKind::Continuous),
     ]);
-    let mut b = TableBuilder::new(schema);
+    let mut b = FrameBuilder::new(schema);
     for i in 0..rows {
         let hash = i.wrapping_mul(2_654_435_761) % 1_000_000;
         let x = hash as f64 / 1000.0;
@@ -42,7 +42,7 @@ fn synthetic_table(rows: usize) -> Table {
         ])
         .unwrap();
     }
-    b.build()
+    b.build().unwrap()
 }
 
 fn bench_split_scan(c: &mut Criterion) {

@@ -17,10 +17,10 @@ use rainshine_core::evidence::{self, SeriesRow};
 use rainshine_core::tco::TcoModel;
 use rainshine_core::{q1, q2, q3};
 use rainshine_dcsim::{FleetConfig, Simulation, SimulationOutput};
+use rainshine_telemetry::frame::Frame;
 use rainshine_telemetry::ids::{DcId, Sku, Workload};
 use rainshine_telemetry::rma::{category_breakdown, HardwareFault};
 use rainshine_telemetry::schema::candidate_features;
-use rainshine_telemetry::table::Table;
 use rainshine_telemetry::time::TimeGranularity;
 
 /// All experiment ids: the paper's artifacts in paper order, followed by
@@ -100,36 +100,22 @@ pub struct ExperimentContext {
     /// built with [`ExperimentContext::new_with_obs`].
     pub obs: rainshine_obs::Obs,
     scale: Scale,
-    all_hw: Option<Table>,
-    disk: Option<Table>,
+    all_hw: Option<Frame>,
+    disk: Option<Frame>,
 }
 
 impl ExperimentContext {
-    /// Runs the simulation for `scale` with `seed`.
-    pub fn new(scale: Scale, seed: u64) -> Self {
-        Self::new_with_parallelism(scale, seed, rainshine_parallel::Parallelism::Auto)
-    }
-
-    /// Runs the simulation for `scale` with `seed` and an explicit thread
-    /// policy for the simulation's per-rack generation loops. The ticket
-    /// stream is the same for every policy; only wall-clock time changes.
-    pub fn new_with_parallelism(
-        scale: Scale,
-        seed: u64,
-        parallelism: rainshine_parallel::Parallelism,
-    ) -> Self {
-        Self::new_with_corruption(
-            scale,
-            seed,
-            parallelism,
-            rainshine_dcsim::CorruptionConfig::default(),
-        )
-    }
-
-    /// Runs the simulation with a dirty-data injection profile. The injected
-    /// defects are sanitized by the ingestion pipeline before any experiment
-    /// sees the tickets; `output.quality` reports what was repaired or
-    /// quarantined.
+    /// Runs the simulation for `scale` with `seed`, `parallelism` for the
+    /// simulation's per-rack generation loops (the ticket stream is the
+    /// same for every policy) and a dirty-data injection profile
+    /// (`CorruptionConfig::default()` injects nothing). The injected
+    /// defects are sanitized by the ingestion pipeline before any
+    /// experiment sees the tickets; `output.quality` reports what was
+    /// repaired or quarantined.
+    ///
+    /// This constructor and [`ExperimentContext::new_with_obs`] both exist
+    /// because each has an outside caller: the `benchmark/` package calls
+    /// this one, the `experiments` binary calls `new_with_obs`.
     pub fn new_with_corruption(
         scale: Scale,
         seed: u64,
@@ -143,7 +129,9 @@ impl ExperimentContext {
     /// handle: the simulation and every subsequent [`run_experiment`] call
     /// record stage counts and timings into `obs`. The deterministic
     /// section of the resulting report is byte-identical for a fixed
-    /// (scale, seed, corruption) at every `parallelism` setting.
+    /// (scale, seed, corruption) at every `parallelism` setting. The
+    /// `experiments` binary calls this constructor; see
+    /// [`ExperimentContext::new_with_corruption`] for why both exist.
     pub fn new_with_obs(
         scale: Scale,
         seed: u64,
@@ -163,7 +151,10 @@ impl ExperimentContext {
         }
     }
 
-    fn day_stride(&self) -> usize {
+    /// Day stride of the cached rack-day tables, for experiments that
+    /// build their own series. The `_pub` suffix is kept because the
+    /// `benchmark/` package calls this name.
+    pub fn day_stride_pub(&self) -> usize {
         match self.scale {
             Scale::Small | Scale::Medium => 1,
             Scale::Paper => 2,
@@ -173,16 +164,16 @@ impl ExperimentContext {
     /// CART parameters scaled to the rack-day table size.
     pub fn rack_day_cart(&self) -> CartParams {
         let rows = self.output.fleet.racks.len() as u64 * self.output.config.span_days()
-            / self.day_stride() as u64;
+            / self.day_stride_pub() as u64;
         let min_leaf = (rows / 1500).max(30) as usize;
         CartParams::default().with_min_sizes(min_leaf * 2, min_leaf).with_cp(0.0005)
     }
 
     /// The all-hardware rack-day table (cached).
-    pub fn all_hw_table(&mut self) -> &Table {
+    pub fn all_hw_table(&mut self) -> &Frame {
         if self.all_hw.is_none() {
             self.all_hw = Some(
-                rack_day_table(&self.output, FaultFilter::AllHardware, self.day_stride())
+                rack_day_table(&self.output, FaultFilter::AllHardware, self.day_stride_pub())
                     .expect("simulation produced rack-days"),
             );
         }
@@ -190,13 +181,13 @@ impl ExperimentContext {
     }
 
     /// The disk-only rack-day table (cached).
-    pub fn disk_table(&mut self) -> &Table {
+    pub fn disk_table(&mut self) -> &Frame {
         if self.disk.is_none() {
             self.disk = Some(
                 rack_day_table(
                     &self.output,
                     FaultFilter::Component(HardwareFault::Disk),
-                    self.day_stride(),
+                    self.day_stride_pub(),
                 )
                 .expect("simulation produced rack-days"),
             );
@@ -569,7 +560,7 @@ fn f16(ctx: &mut ExperimentContext, dir: &Path) -> Result<String, ExperimentErro
 }
 
 fn f17(ctx: &mut ExperimentContext, dir: &Path) -> Result<String, ExperimentError> {
-    let mut rows = q3::disk_rate_by_temperature(&ctx.output, ctx.day_stride())?;
+    let mut rows = q3::disk_rate_by_temperature(&ctx.output, ctx.day_stride_pub())?;
     evidence::normalize(&mut rows);
     write_csv(dir, "f17", "label,mean,sd,n", &series_csv(&rows))?;
     Ok(series_preview("Fig 17 — temperature vs per-disk failure rate", &rows))
@@ -611,14 +602,6 @@ fn f18(ctx: &mut ExperimentContext, dir: &Path) -> Result<String, ExperimentErro
     }
     write_csv(dir, "f18", "dc,group,mean_norm,sd_norm,n", &rows)?;
     Ok(preview)
-}
-
-impl ExperimentContext {
-    /// Day stride used for cached tables (public for experiments that build
-    /// their own series).
-    pub fn day_stride_pub(&self) -> usize {
-        self.day_stride()
-    }
 }
 
 fn p1(ctx: &mut ExperimentContext, dir: &Path) -> Result<String, ExperimentError> {
@@ -798,10 +781,19 @@ fn ablation(dir: &Path, id: &str, kind: AblationKind) -> Result<String, Experime
 mod tests {
     use super::*;
 
+    fn small_clean_context() -> ExperimentContext {
+        ExperimentContext::new_with_corruption(
+            Scale::Small,
+            5,
+            rainshine_parallel::Parallelism::Auto,
+            rainshine_dcsim::CorruptionConfig::default(),
+        )
+    }
+
     #[test]
     fn all_experiments_run_at_small_scale() {
         let dir = std::env::temp_dir().join("rainshine-exp-test");
-        let mut ctx = ExperimentContext::new(Scale::Small, 5);
+        let mut ctx = small_clean_context();
         for id in ALL_EXPERIMENTS {
             let preview = run_experiment(id, &mut ctx, &dir)
                 .unwrap_or_else(|e| panic!("experiment {id} failed: {e}"));
@@ -838,7 +830,7 @@ mod tests {
     #[test]
     fn unknown_experiment_errors() {
         let dir = std::env::temp_dir().join("rainshine-exp-test2");
-        let mut ctx = ExperimentContext::new(Scale::Small, 5);
+        let mut ctx = small_clean_context();
         assert!(run_experiment("zz", &mut ctx, &dir).is_err());
     }
 }

@@ -27,13 +27,6 @@ pub enum CartError {
         /// Offending value.
         value: f64,
     },
-    /// Cross-validation was asked for more folds than rows.
-    TooManyFolds {
-        /// Requested folds.
-        folds: usize,
-        /// Available rows.
-        rows: usize,
-    },
     /// A prediction was requested against a table missing a feature used by
     /// the fitted tree.
     MissingFeature {
@@ -68,9 +61,6 @@ impl fmt::Display for CartError {
             CartError::InvalidParameter { name, value } => {
                 write!(f, "parameter `{name}` has invalid value {value}")
             }
-            CartError::TooManyFolds { folds, rows } => {
-                write!(f, "{folds} folds requested but only {rows} rows available")
-            }
             CartError::MissingFeature { name } => {
                 write!(f, "prediction table lacks feature `{name}`")
             }
@@ -104,6 +94,5 @@ mod tests {
     fn messages_are_descriptive() {
         assert!(CartError::EmptyDataset.to_string().contains("no rows"));
         assert!(CartError::TargetIsFeature { name: "y".into() }.to_string().contains("y"));
-        assert!(CartError::TooManyFolds { folds: 10, rows: 3 }.to_string().contains("10"));
     }
 }

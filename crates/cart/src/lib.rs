@@ -1,9 +1,8 @@
 //! Classification and Regression Trees (CART) for the `rainshine` workspace.
 //!
 //! The paper builds its multi-factor analysis on CART (Breiman, Friedman,
-//! Olshen & Stone 1984) as implemented by R's `rpart` package, plus partial
-//! dependence analysis (Hastie, Tibshirani & Friedman). This crate is a
-//! from-scratch Rust implementation of the pieces the paper uses:
+//! Olshen & Stone 1984) as implemented by R's `rpart` package. This crate
+//! is a from-scratch Rust implementation of the pieces the paper uses:
 //!
 //! * **regression trees** (`rpart` `method = "anova"`): within-node variance
 //!   as impurity, used to cluster racks by failure behaviour (Q1) —
@@ -13,13 +12,9 @@
 //!   with an exhaustive-subset option for ablation ([`params::NominalSearch`]);
 //! * rpart-style stopping rules: `min_split`, `min_leaf`, `max_depth`, and
 //!   the complexity parameter `cp` ([`params::CartParams`]);
-//! * cost-complexity (weakest-link) pruning with k-fold cross-validation
-//!   ([`prune`]);
 //! * variable importance rankings ([`tree::Tree::variable_importance`]);
-//! * partial dependence: both the classic grid PDP and the paper's
-//!   "`Metric ~ X1, N(X2), …, N(Xn)`" stratified normalization ([`pdp`]);
-//! * bagged ensembles with out-of-bag error and permutation importance
-//!   ([`forest`]) — a robustness extension beyond the paper's single trees.
+//! * the paper's "`Metric ~ X1, N(X2), …, N(Xn)`" stratified normalization
+//!   ([`pdp`]).
 //!
 //! Missing-data surrogate splits are *not* implemented: the simulator's
 //! datasets are complete by construction.
@@ -27,7 +22,7 @@
 //! # Example: recover a planted threshold
 //!
 //! ```
-//! use rainshine_telemetry::table::{Field, FeatureKind, Schema, TableBuilder, Value};
+//! use rainshine_telemetry::frame::{Field, FeatureKind, FrameBuilder, Schema, Value};
 //! use rainshine_cart::dataset::CartDataset;
 //! use rainshine_cart::params::CartParams;
 //! use rainshine_cart::tree::Tree;
@@ -37,13 +32,13 @@
 //!     Field::new("x", FeatureKind::Continuous),
 //!     Field::new("y", FeatureKind::Continuous),
 //! ]);
-//! let mut b = TableBuilder::new(schema);
+//! let mut b = FrameBuilder::new(schema);
 //! for i in 0..100 {
 //!     let x = i as f64;
 //!     let y = if x < 50.0 { 1.0 } else { 5.0 };
 //!     b.push_row(vec![Value::Continuous(x), Value::Continuous(y)])?;
 //! }
-//! let table = b.build();
+//! let table = b.build()?;
 //! let ds = CartDataset::regression(&table, "y", &["x"])?;
 //! let tree = Tree::fit(&ds, &CartParams::default())?;
 //! assert_eq!(tree.leaf_count(), 2);
@@ -51,10 +46,8 @@
 //! ```
 
 pub mod dataset;
-pub mod forest;
 pub mod params;
 pub mod pdp;
-pub mod prune;
 pub mod tree;
 
 mod error;

@@ -94,12 +94,6 @@ impl CartParams {
         self.min_leaf = min_leaf;
         self
     }
-
-    /// Returns a copy with a different depth cap.
-    pub fn with_max_depth(mut self, max_depth: usize) -> Self {
-        self.max_depth = max_depth;
-        self
-    }
 }
 
 #[cfg(test)]
@@ -122,15 +116,14 @@ mod tests {
         assert!(CartParams::default().with_cp(f64::NAN).validate().is_err());
         assert!(CartParams::default().with_min_sizes(1, 1).validate().is_err());
         assert!(CartParams::default().with_min_sizes(5, 0).validate().is_err());
-        assert!(CartParams::default().with_max_depth(0).validate().is_err());
+        assert!(CartParams { max_depth: 0, ..CartParams::default() }.validate().is_err());
     }
 
     #[test]
     fn builder_methods_chain() {
-        let p = CartParams::default().with_cp(0.001).with_min_sizes(10, 3).with_max_depth(5);
+        let p = CartParams::default().with_cp(0.001).with_min_sizes(10, 3);
         assert_eq!(p.cp, 0.001);
         assert_eq!(p.min_split, 10);
         assert_eq!(p.min_leaf, 3);
-        assert_eq!(p.max_depth, 5);
     }
 }

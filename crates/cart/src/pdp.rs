@@ -1,300 +1,20 @@
-//! Partial dependence analysis.
+//! Stratified normalization: the paper's `Metric ~ X1, N(X2), …, N(Xn)`
+//! notation (Section V-C).
 //!
-//! Two flavours, matching the paper's Section V-C:
-//!
-//! * **Grid PDP** (Friedman / Hastie et al.): for each grid value `v` of the
-//!   feature of interest, force the feature to `v` for every observation and
-//!   average the tree's predictions — [`partial_dependence_continuous`] /
-//!   [`partial_dependence_nominal`].
-//! * **Stratified normalization** — the paper's
-//!   `Metric ~ X1, N(X2), …, N(Xn)` notation: fit a tree on the *control*
-//!   features only, use its leaves as strata of "all other factors held
-//!   fixed", and measure the effect of the feature of interest *within*
-//!   each stratum, aggregating ratios across strata —
-//!   [`stratified_effect_nominal`] / [`stratified_effect_binned`].
+//! Fit a tree on the *control* features only, use its leaves as strata of
+//! "all other factors held fixed", and measure the effect of the feature of
+//! interest *within* each stratum, aggregating ratios across strata —
+//! [`stratified_effect_nominal`].
 
 use std::collections::{BTreeMap, HashMap};
 
-use rainshine_obs::Obs;
-use rainshine_parallel::{par_map, Parallelism};
-use rainshine_stats::hist::Binner;
-use rainshine_telemetry::table::Table;
+use rainshine_telemetry::frame::Frame;
 use serde::{Deserialize, Serialize};
 
-use crate::dataset::{feature_column, CartDataset, FeatureColumn};
+use crate::dataset::CartDataset;
 use crate::params::CartParams;
-use crate::split::SplitRule;
 use crate::tree::Tree;
 use crate::{CartError, Result};
-
-/// Options for grid partial-dependence evaluation.
-#[derive(Debug, Clone, Copy, PartialEq, Default, Serialize, Deserialize)]
-pub struct PdpParams {
-    /// How to spread grid-point evaluation across threads. Each grid
-    /// point is an independent pass over the dataset and results are
-    /// merged in grid order, so the curve is bit-identical for any
-    /// setting.
-    pub parallelism: Parallelism,
-}
-
-/// One point of a grid partial-dependence curve.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
-pub struct PdpPoint {
-    /// The forced feature value.
-    pub value: f64,
-    /// Mean prediction over the dataset with the feature forced to `value`.
-    pub mean_prediction: f64,
-}
-
-/// Value forced onto the feature of interest during a PDP walk.
-#[derive(Debug, Clone, Copy, PartialEq)]
-enum Override {
-    Continuous(f64),
-    Ordinal(i64),
-    Nominal(u32),
-}
-
-impl Override {
-    fn kind_name(self) -> &'static str {
-        match self {
-            Override::Continuous(_) => "continuous",
-            Override::Ordinal(_) => "ordinal",
-            Override::Nominal(_) => "nominal",
-        }
-    }
-}
-
-fn walk_with_override(
-    tree: &Tree,
-    columns: &HashMap<&str, FeatureColumn<'_>>,
-    row: usize,
-    feature: &str,
-    forced: Override,
-) -> Result<f64> {
-    let mut id = 0usize;
-    loop {
-        let node = &tree.nodes()[id];
-        let Some(rule) = &node.rule else {
-            return Ok(node.prediction);
-        };
-        let goes_left = if rule.feature() == feature {
-            match (rule, forced) {
-                (SplitRule::ContinuousThreshold { threshold, .. }, Override::Continuous(v)) => {
-                    v <= *threshold
-                }
-                (SplitRule::OrdinalThreshold { threshold, .. }, Override::Ordinal(v)) => {
-                    v <= *threshold
-                }
-                (SplitRule::NominalSubset { left_codes, .. }, Override::Nominal(c)) => {
-                    left_codes.contains(&c)
-                }
-                _ => {
-                    return Err(CartError::ColumnKindMismatch {
-                        feature: feature.to_owned(),
-                        expected: rule.expected_kind(),
-                        found: forced.kind_name(),
-                    })
-                }
-            }
-        } else {
-            rule.try_goes_left(&columns[rule.feature()], row)?
-        };
-        id = if goes_left {
-            node.left.expect("split node has left child")
-        } else {
-            node.right.expect("split node has right child")
-        };
-    }
-}
-
-fn resolve_columns<'t>(
-    tree: &Tree,
-    table: &'t Table,
-) -> Result<HashMap<&'t str, FeatureColumn<'t>>>
-where
-{
-    let mut map = HashMap::new();
-    for name in tree.feature_names() {
-        if table.schema().index_of(name).is_none() {
-            return Err(CartError::MissingFeature { name: name.clone() });
-        }
-        let idx = table.schema().index_of(name).expect("checked above");
-        let key: &'t str = &table.schema().fields()[idx].name;
-        map.insert(key, feature_column(table, name)?);
-    }
-    Ok(map)
-}
-
-/// Grid partial dependence for a continuous feature.
-///
-/// # Errors
-///
-/// Returns an error if the table lacks a feature the tree references, or
-/// the feature of interest is not continuous in the table.
-pub fn partial_dependence_continuous(
-    tree: &Tree,
-    table: &Table,
-    feature: &str,
-    grid: &[f64],
-) -> Result<Vec<PdpPoint>> {
-    partial_dependence_continuous_with(tree, table, feature, grid, &PdpParams::default())
-}
-
-/// [`partial_dependence_continuous`] with explicit [`PdpParams`]. Grid
-/// points are independent dataset passes, so they evaluate in parallel;
-/// per-point row sums run on one thread each, keeping float summation
-/// order (and thus the curve) identical at every thread count.
-///
-/// # Errors
-///
-/// See [`partial_dependence_continuous`].
-pub fn partial_dependence_continuous_with(
-    tree: &Tree,
-    table: &Table,
-    feature: &str,
-    grid: &[f64],
-    params: &PdpParams,
-) -> Result<Vec<PdpPoint>> {
-    table.continuous(feature)?; // kind check
-    let columns = resolve_columns(tree, table)?;
-    let n = table.rows().max(1) as f64;
-    par_map(params.parallelism, grid, |&v| {
-        let mut sum = 0.0;
-        for row in 0..table.rows() {
-            sum += walk_with_override(tree, &columns, row, feature, Override::Continuous(v))?;
-        }
-        Ok(PdpPoint { value: v, mean_prediction: sum / n })
-    })
-    .into_iter()
-    .collect()
-}
-
-/// [`partial_dependence_continuous_with`] with observability: records a
-/// `pdp.grid` span whose item count is `grid points × rows`, plus a
-/// `pdp.grid_points` counter.
-///
-/// # Errors
-///
-/// See [`partial_dependence_continuous`].
-pub fn partial_dependence_continuous_obs(
-    tree: &Tree,
-    table: &Table,
-    feature: &str,
-    grid: &[f64],
-    params: &PdpParams,
-    obs: &Obs,
-) -> Result<Vec<PdpPoint>> {
-    let mut span = obs.span("pdp.grid");
-    span.add_items((grid.len() * table.rows()) as u64);
-    obs.incr("pdp.grid_points", grid.len() as u64);
-    partial_dependence_continuous_with(tree, table, feature, grid, params)
-}
-
-/// Grid partial dependence for a nominal feature: one mean prediction per
-/// category, returned as `(label, mean)` pairs in category order.
-///
-/// # Errors
-///
-/// Returns an error if the table lacks a feature the tree references, or
-/// the feature of interest is not nominal in the table.
-pub fn partial_dependence_nominal(
-    tree: &Tree,
-    table: &Table,
-    feature: &str,
-) -> Result<Vec<(String, f64)>> {
-    partial_dependence_nominal_with(tree, table, feature, &PdpParams::default())
-}
-
-/// [`partial_dependence_nominal`] with explicit [`PdpParams`]; categories
-/// evaluate in parallel, results stay in category order.
-///
-/// # Errors
-///
-/// See [`partial_dependence_nominal`].
-pub fn partial_dependence_nominal_with(
-    tree: &Tree,
-    table: &Table,
-    feature: &str,
-    params: &PdpParams,
-) -> Result<Vec<(String, f64)>> {
-    let categories = table.categories(feature)?.to_vec();
-    let columns = resolve_columns(tree, table)?;
-    let n = table.rows().max(1) as f64;
-    let codes: Vec<usize> = (0..categories.len()).collect();
-    par_map(params.parallelism, &codes, |&code| {
-        let mut sum = 0.0;
-        for row in 0..table.rows() {
-            sum +=
-                walk_with_override(tree, &columns, row, feature, Override::Nominal(code as u32))?;
-        }
-        Ok((categories[code].clone(), sum / n))
-    })
-    .into_iter()
-    .collect()
-}
-
-/// Grid partial dependence for an ordinal feature: one mean prediction per
-/// supplied level, returned as `(level, mean)` pairs.
-///
-/// # Errors
-///
-/// Returns an error if the table lacks a feature the tree references, or
-/// the feature of interest is not ordinal in the table.
-pub fn partial_dependence_ordinal(
-    tree: &Tree,
-    table: &Table,
-    feature: &str,
-    levels: &[i64],
-) -> Result<Vec<(i64, f64)>> {
-    partial_dependence_ordinal_with(tree, table, feature, levels, &PdpParams::default())
-}
-
-/// [`partial_dependence_ordinal`] with explicit [`PdpParams`]; levels
-/// evaluate in parallel, results stay in level order.
-///
-/// # Errors
-///
-/// See [`partial_dependence_ordinal`].
-pub fn partial_dependence_ordinal_with(
-    tree: &Tree,
-    table: &Table,
-    feature: &str,
-    levels: &[i64],
-    params: &PdpParams,
-) -> Result<Vec<(i64, f64)>> {
-    table.ordinal(feature)?; // kind check
-    let columns = resolve_columns(tree, table)?;
-    let n = table.rows().max(1) as f64;
-    par_map(params.parallelism, levels, |&lvl| {
-        let mut sum = 0.0;
-        for row in 0..table.rows() {
-            sum += walk_with_override(tree, &columns, row, feature, Override::Ordinal(lvl))?;
-        }
-        Ok((lvl, sum / n))
-    })
-    .into_iter()
-    .collect()
-}
-
-/// An evenly spaced grid over the observed range of a continuous column.
-///
-/// # Errors
-///
-/// Returns an error if the column is missing/not continuous or the table is
-/// empty.
-pub fn grid_over_column(table: &Table, feature: &str, points: usize) -> Result<Vec<f64>> {
-    let values = table.continuous(feature)?;
-    if values.is_empty() || points == 0 {
-        return Err(CartError::EmptyDataset);
-    }
-    let lo = values.iter().copied().fold(f64::INFINITY, f64::min);
-    let hi = values.iter().copied().fold(f64::NEG_INFINITY, f64::max);
-    if points == 1 || lo == hi {
-        return Ok(vec![lo]);
-    }
-    let step = (hi - lo) / (points - 1) as f64;
-    Ok((0..points).map(|i| lo + i as f64 * step).collect())
-}
 
 /// Effect of one level of the feature of interest after normalizing all
 /// control factors (the paper's `N(·)`).
@@ -372,7 +92,7 @@ impl StratifiedEffect {
 }
 
 fn stratified_effect_impl(
-    table: &Table,
+    table: &Frame,
     target: &str,
     level_of_row: impl Fn(usize) -> usize,
     level_labels: &[String],
@@ -549,7 +269,7 @@ fn stratified_effect_impl(
 /// Returns an error if columns are missing / of the wrong kind, the feature
 /// appears among the controls, or tree fitting fails.
 pub fn stratified_effect_nominal(
-    table: &Table,
+    table: &Frame,
     target: &str,
     feature: &str,
     controls: &[&str],
@@ -563,51 +283,21 @@ pub fn stratified_effect_nominal(
     stratified_effect_impl(table, target, |row| codes[row] as usize, &labels, controls, params)
 }
 
-/// Stratified effect of a **continuous** feature of interest, binned by
-/// `binner` (e.g. temperature ranges in Q3): `target ~ bin(feature),
-/// N(controls…)`.
-///
-/// # Errors
-///
-/// See [`stratified_effect_nominal`].
-pub fn stratified_effect_binned(
-    table: &Table,
-    target: &str,
-    feature: &str,
-    binner: &Binner,
-    controls: &[&str],
-    params: &CartParams,
-) -> Result<StratifiedEffect> {
-    if controls.contains(&feature) {
-        return Err(CartError::TargetIsFeature { name: feature.to_owned() });
-    }
-    let values = table.continuous(feature)?;
-    let labels: Vec<String> = (0..binner.bin_count()).map(|i| binner.label(i)).collect();
-    stratified_effect_impl(
-        table,
-        target,
-        |row| binner.bin_of(values[row]),
-        &labels,
-        controls,
-        params,
-    )
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
-    use rainshine_telemetry::table::{FeatureKind, Field, Schema, TableBuilder, Value};
+    use rainshine_telemetry::frame::{FeatureKind, Field, FrameBuilder, Schema, Value};
 
     /// y = base(z) * sku_factor, where z is a confounder: sku "bad" appears
     /// mostly at high z. Marginal bad/good ratio is inflated; the true
     /// per-stratum ratio is 2.
-    fn confounded_table() -> Table {
+    fn confounded_table() -> Frame {
         let schema = Schema::new(vec![
             Field::new("z", FeatureKind::Continuous),
             Field::new("sku", FeatureKind::Nominal),
             Field::new("y", FeatureKind::Continuous),
         ]);
-        let mut b = TableBuilder::new(schema);
+        let mut b = FrameBuilder::new(schema);
         for i in 0..600 {
             let high_z = i % 3 != 0; // 2/3 of rows high-z
             let z = if high_z { 10.0 } else { 1.0 };
@@ -618,7 +308,7 @@ mod tests {
             b.push_row(vec![Value::Continuous(z), sku.into(), Value::Continuous(base * factor)])
                 .unwrap();
         }
-        b.build()
+        b.build().unwrap()
     }
 
     #[test]
@@ -641,117 +331,6 @@ mod tests {
     }
 
     #[test]
-    fn pdp_recovers_monotone_effect() {
-        // y = 1 + (x > 5 ? 4 : 0), no confounders.
-        let schema = Schema::new(vec![
-            Field::new("x", FeatureKind::Continuous),
-            Field::new("y", FeatureKind::Continuous),
-        ]);
-        let mut b = TableBuilder::new(schema);
-        for i in 0..200 {
-            let x = (i % 10) as f64;
-            let y = 1.0 + if x > 5.0 { 4.0 } else { 0.0 };
-            b.push_row(vec![Value::Continuous(x), Value::Continuous(y)]).unwrap();
-        }
-        let t = b.build();
-        let ds = CartDataset::regression(&t, "y", &["x"]).unwrap();
-        let tree = Tree::fit(&ds, &CartParams::default().with_min_sizes(4, 2)).unwrap();
-        let grid = grid_over_column(&t, "x", 10).unwrap();
-        let pdp = partial_dependence_continuous(&tree, &t, "x", &grid).unwrap();
-        assert_eq!(pdp.len(), 10);
-        assert!(pdp.first().unwrap().mean_prediction < pdp.last().unwrap().mean_prediction);
-        assert!((pdp.first().unwrap().mean_prediction - 1.0).abs() < 0.1);
-        assert!((pdp.last().unwrap().mean_prediction - 5.0).abs() < 0.1);
-    }
-
-    #[test]
-    fn pdp_nominal_per_category() {
-        let t = confounded_table();
-        let ds = CartDataset::regression(&t, "y", &["z", "sku"]).unwrap();
-        let tree = Tree::fit(&ds, &CartParams::default().with_min_sizes(10, 5)).unwrap();
-        let pdp = partial_dependence_nominal(&tree, &t, "sku").unwrap();
-        assert_eq!(pdp.len(), 2);
-        let bad = pdp.iter().find(|(l, _)| l == "bad").unwrap().1;
-        let good = pdp.iter().find(|(l, _)| l == "good").unwrap().1;
-        // PDP holds the z-mix fixed, so the ratio approaches the true 2x.
-        let ratio = bad / good;
-        assert!((ratio - 2.0).abs() < 0.3, "pdp ratio {ratio}");
-    }
-
-    #[test]
-    fn binned_stratified_effect_labels() {
-        let t = confounded_table();
-        let binner = Binner::from_edges(vec![5.0]).unwrap();
-        let params = CartParams::default().with_min_sizes(10, 5);
-        let eff = stratified_effect_binned(&t, "y", "z", &binner, &["sku"], &params).unwrap();
-        assert_eq!(eff.levels.len(), 2);
-        assert_eq!(eff.levels[0].level, "<5");
-        assert_eq!(eff.levels[1].level, ">=5");
-        // High-z bin has higher relative failure rate than low-z within
-        // sku-strata.
-        assert!(eff.levels[1].relative > eff.levels[0].relative);
-    }
-
-    #[test]
-    fn pdp_threads_match_sequential() {
-        let t = confounded_table();
-        let ds = CartDataset::regression(&t, "y", &["z", "sku"]).unwrap();
-        let tree = Tree::fit(&ds, &CartParams::default().with_min_sizes(10, 5)).unwrap();
-        let grid = grid_over_column(&t, "z", 17).unwrap();
-        let sequential = partial_dependence_continuous_with(
-            &tree,
-            &t,
-            "z",
-            &grid,
-            &PdpParams { parallelism: Parallelism::Sequential },
-        )
-        .unwrap();
-        for par in [Parallelism::Threads(2), Parallelism::Threads(4), Parallelism::Auto] {
-            let parallel = partial_dependence_continuous_with(
-                &tree,
-                &t,
-                "z",
-                &grid,
-                &PdpParams { parallelism: par },
-            )
-            .unwrap();
-            assert_eq!(sequential, parallel, "{par:?}");
-        }
-        let seq_nom = partial_dependence_nominal_with(
-            &tree,
-            &t,
-            "sku",
-            &PdpParams { parallelism: Parallelism::Sequential },
-        )
-        .unwrap();
-        let par_nom = partial_dependence_nominal_with(
-            &tree,
-            &t,
-            "sku",
-            &PdpParams { parallelism: Parallelism::Threads(4) },
-        )
-        .unwrap();
-        assert_eq!(seq_nom, par_nom);
-    }
-
-    #[test]
-    fn pdp_override_kind_mismatch_is_typed() {
-        let t = confounded_table();
-        let ds = CartDataset::regression(&t, "y", &["z", "sku"]).unwrap();
-        let tree = Tree::fit(&ds, &CartParams::default().with_min_sizes(10, 5)).unwrap();
-        let columns = resolve_columns(&tree, &t).unwrap();
-        // Force a nominal value onto the continuous feature "z": every walk
-        // that reaches a "z" rule must surface the mismatch as an error.
-        let result: Result<Vec<f64>> = (0..t.rows())
-            .map(|row| walk_with_override(&tree, &columns, row, "z", Override::Nominal(0)))
-            .collect();
-        assert!(matches!(
-            result,
-            Err(CartError::ColumnKindMismatch { expected: "continuous", found: "nominal", .. })
-        ));
-    }
-
-    #[test]
     fn feature_in_controls_rejected() {
         let t = confounded_table();
         let params = CartParams::default();
@@ -759,14 +338,5 @@ mod tests {
             stratified_effect_nominal(&t, "y", "sku", &["z", "sku"], &params),
             Err(CartError::TargetIsFeature { .. })
         ));
-    }
-
-    #[test]
-    fn grid_over_column_spans_range() {
-        let t = confounded_table();
-        let grid = grid_over_column(&t, "z", 5).unwrap();
-        assert_eq!(grid.len(), 5);
-        assert_eq!(grid[0], 1.0);
-        assert_eq!(*grid.last().unwrap(), 10.0);
     }
 }

@@ -1,9 +1,8 @@
 //! Tree fitting, prediction, and inspection.
 
 use std::collections::HashMap;
-use std::fmt::Write as _;
 
-use rainshine_telemetry::table::Table;
+use rainshine_telemetry::frame::Frame;
 use serde::{Deserialize, Serialize};
 
 use crate::dataset::{feature_column, CartDataset, FeatureColumn, Target};
@@ -74,8 +73,8 @@ impl Tree {
         Self::fit_on_rows(dataset, params, &rows)
     }
 
-    /// Fits a tree using only the given training rows (cross-validation
-    /// folds and bootstrap resamples use this; `rows` may repeat).
+    /// Fits a tree using only the given training rows (a train/test split
+    /// uses this; `rows` may repeat).
     ///
     /// Growth uses the presort-once / partition-many scheme: each
     /// ordered feature is stably sorted **once** over `rows` into an
@@ -156,7 +155,7 @@ impl Tree {
                 .map(|(_, c)| c)
                 .expect("split rule references a known feature");
             // The rule is a pure function of a row's value, so one flag
-            // per row id routes every occurrence (bootstrap duplicates
+            // per row id routes every occurrence (duplicate training rows
             // included) consistently.
             for &r in &rows_arr[lo..hi] {
                 goes_left[r] = split.rule.goes_left(column, r);
@@ -368,7 +367,7 @@ impl Tree {
     }
 
     /// Resolves the feature columns the tree needs from `table`.
-    fn resolve_columns<'t>(&self, table: &'t Table) -> Result<HashMap<&str, FeatureColumn<'t>>> {
+    fn resolve_columns<'t>(&self, table: &'t Frame) -> Result<HashMap<&str, FeatureColumn<'t>>> {
         let mut map = HashMap::new();
         for name in &self.feature_names {
             if table.schema().index_of(name).is_none() {
@@ -389,7 +388,7 @@ impl Tree {
     /// Returns [`CartError::MissingFeature`] if `table` lacks a feature the
     /// tree references, or [`CartError::ColumnKindMismatch`] if a feature's
     /// kind drifted from the fit-time schema.
-    pub fn leaf_assignments(&self, table: &Table) -> Result<Vec<usize>> {
+    pub fn leaf_assignments(&self, table: &Frame) -> Result<Vec<usize>> {
         let columns = self.resolve_columns(table)?;
         (0..table.rows()).map(|row| self.walk(&columns, row)).collect()
     }
@@ -416,29 +415,12 @@ impl Tree {
     /// # Errors
     ///
     /// See [`Tree::leaf_assignments`].
-    pub fn predict(&self, table: &Table) -> Result<Vec<f64>> {
+    pub fn predict(&self, table: &Frame) -> Result<Vec<f64>> {
         Ok(self
             .leaf_assignments(table)?
             .into_iter()
             .map(|leaf| self.nodes[leaf].prediction)
             .collect())
-    }
-
-    /// Predicted values for the given rows of `table`, in order — like
-    /// `predict(&table.subset(rows))` without materializing the subset.
-    ///
-    /// # Errors
-    ///
-    /// See [`Tree::leaf_assignments`].
-    ///
-    /// # Panics
-    ///
-    /// Panics if a row index is out of bounds.
-    pub fn predict_rows(&self, table: &Table, rows: &[usize]) -> Result<Vec<f64>> {
-        let columns = self.resolve_columns(table)?;
-        rows.iter()
-            .map(|&row| self.walk(&columns, row).map(|leaf| self.nodes[leaf].prediction))
-            .collect()
     }
 
     /// Variable importance: total risk decrease attributed to each feature
@@ -451,7 +433,9 @@ impl Tree {
                 *raw.entry(rule.feature()).or_insert(0.0) += node.improvement;
             }
         }
-        let total: f64 = raw.values().sum();
+        // Summed in feature order: a map's iteration order would make the
+        // last bits of the total, and so every score, vary run to run.
+        let total: f64 = self.feature_names.iter().filter_map(|name| raw.get(name.as_str())).sum();
         let mut out: Vec<(String, f64)> = self
             .feature_names
             .iter()
@@ -460,7 +444,7 @@ impl Tree {
                 (name.clone(), if total > 0.0 { 100.0 * v / total } else { 0.0 })
             })
             .collect();
-        out.sort_by(|a, b| b.1.partial_cmp(&a.1).expect("finite importance"));
+        out.sort_by(|a, b| b.1.total_cmp(&a.1));
         out
     }
 
@@ -491,81 +475,6 @@ impl Tree {
         }
         path.reverse();
         path
-    }
-
-    /// A compact text rendering of the tree, one node per line.
-    pub fn format_text(&self) -> String {
-        let mut out = String::new();
-        self.format_node(0, 0, &mut out);
-        out
-    }
-
-    fn format_node(&self, id: usize, indent: usize, out: &mut String) {
-        let node = &self.nodes[id];
-        let pad = "  ".repeat(indent);
-        match &node.rule {
-            Some(rule) => {
-                let _ = writeln!(
-                    out,
-                    "{pad}[{id}] n={} risk={:.3} pred={:.4} split: {}",
-                    node.n,
-                    node.risk,
-                    node.prediction,
-                    rule.describe()
-                );
-                self.format_node(node.left.expect("split has left"), indent + 1, out);
-                self.format_node(node.right.expect("split has right"), indent + 1, out);
-            }
-            None => {
-                let _ = writeln!(
-                    out,
-                    "{pad}[{id}] n={} risk={:.3} pred={:.4} (leaf)",
-                    node.n, node.risk, node.prediction
-                );
-            }
-        }
-    }
-
-    /// Replaces the subtree rooted at `node_id` with a leaf (used by
-    /// pruning). Descendant nodes become unreachable but remain in the
-    /// arena; [`Tree::compact`] removes them.
-    pub(crate) fn collapse(&mut self, node_id: usize) {
-        let node = &mut self.nodes[node_id];
-        node.rule = None;
-        node.left = None;
-        node.right = None;
-        node.improvement = 0.0;
-    }
-
-    /// Rebuilds the node arena dropping unreachable nodes and renumbering
-    /// ids (root stays 0).
-    pub(crate) fn compact(&mut self) {
-        let mut keep = Vec::new();
-        let mut remap: HashMap<usize, usize> = HashMap::new();
-        let mut stack = vec![0usize];
-        // DFS preserving a stable order.
-        while let Some(id) = stack.pop() {
-            if remap.contains_key(&id) {
-                continue;
-            }
-            remap.insert(id, keep.len());
-            keep.push(id);
-            let node = &self.nodes[id];
-            if let (Some(l), Some(r)) = (node.left, node.right) {
-                stack.push(r);
-                stack.push(l);
-            }
-        }
-        let mut new_nodes = Vec::with_capacity(keep.len());
-        for &old_id in &keep {
-            let mut node = self.nodes[old_id].clone();
-            node.id = remap[&old_id];
-            node.left = node.left.map(|l| remap[&l]);
-            node.right = node.right.map(|r| remap[&r]);
-            new_nodes.push(node);
-        }
-        new_nodes.sort_by_key(|n| n.id);
-        self.nodes = new_nodes;
     }
 }
 
@@ -601,16 +510,16 @@ fn stable_partition(seg: &mut [usize], goes_left: &[bool], scratch: &mut Vec<usi
 #[cfg(test)]
 mod tests {
     use super::*;
-    use rainshine_telemetry::table::{FeatureKind, Field, Schema, TableBuilder, Value};
+    use rainshine_telemetry::frame::{FeatureKind, Field, FrameBuilder, Schema, Value};
 
     /// y = 1 for x<30; 5 for 30<=x<70 and k=="a"; 9 otherwise.
-    fn step_table(n: usize) -> Table {
+    fn step_table(n: usize) -> Frame {
         let schema = Schema::new(vec![
             Field::new("x", FeatureKind::Continuous),
             Field::new("k", FeatureKind::Nominal),
             Field::new("y", FeatureKind::Continuous),
         ]);
-        let mut b = TableBuilder::new(schema);
+        let mut b = FrameBuilder::new(schema);
         for i in 0..n {
             let x = (i % 100) as f64;
             let k = if i % 2 == 0 { "a" } else { "b" };
@@ -623,7 +532,7 @@ mod tests {
             };
             b.push_row(vec![Value::Continuous(x), k.into(), Value::Continuous(y)]).unwrap();
         }
-        b.build()
+        b.build().unwrap()
     }
 
     #[test]
@@ -631,7 +540,7 @@ mod tests {
         let t = step_table(400);
         let ds = CartDataset::regression(&t, "y", &["x", "k"]).unwrap();
         let tree = Tree::fit(&ds, &CartParams::default()).unwrap();
-        assert!(tree.leaf_count() >= 3, "tree: {}", tree.format_text());
+        assert!(tree.leaf_count() >= 3, "tree: {tree:?}");
         // Predictions reproduce the generating rule exactly (pure leaves).
         let preds = tree.predict(&t).unwrap();
         let y = t.continuous("y").unwrap();
@@ -681,7 +590,7 @@ mod tests {
     fn max_depth_respected() {
         let t = step_table(400);
         let ds = CartDataset::regression(&t, "y", &["x", "k"]).unwrap();
-        let tree = Tree::fit(&ds, &CartParams::default().with_max_depth(1)).unwrap();
+        let tree = Tree::fit(&ds, &CartParams { max_depth: 1, ..CartParams::default() }).unwrap();
         assert!(tree.depth() <= 1);
         assert!(tree.leaf_count() <= 2);
     }
@@ -692,11 +601,11 @@ mod tests {
             Field::new("x", FeatureKind::Continuous),
             Field::new("y", FeatureKind::Continuous),
         ]);
-        let mut b = TableBuilder::new(schema);
+        let mut b = FrameBuilder::new(schema);
         for i in 0..50 {
             b.push_row(vec![Value::Continuous(i as f64), Value::Continuous(3.0)]).unwrap();
         }
-        let t = b.build();
+        let t = b.build().unwrap();
         let ds = CartDataset::regression(&t, "y", &["x"]).unwrap();
         let tree = Tree::fit(&ds, &CartParams::default()).unwrap();
         assert_eq!(tree.leaf_count(), 1);
@@ -709,13 +618,13 @@ mod tests {
             Field::new("x", FeatureKind::Continuous),
             Field::new("c", FeatureKind::Nominal),
         ]);
-        let mut b = TableBuilder::new(schema);
+        let mut b = FrameBuilder::new(schema);
         for i in 0..200 {
             let x = i as f64;
             let c = if x < 100.0 { "low" } else { "high" };
             b.push_row(vec![Value::Continuous(x), c.into()]).unwrap();
         }
-        let t = b.build();
+        let t = b.build().unwrap();
         let ds = CartDataset::classification(&t, "c", &["x"]).unwrap();
         let tree = Tree::fit(&ds, &CartParams::default()).unwrap();
         assert_eq!(tree.kind(), TreeKind::Classification);
@@ -742,8 +651,8 @@ mod tests {
         let t = step_table(400);
         let ds = CartDataset::regression(&t, "y", &["x", "k"]).unwrap();
         let params = CartParams::default().with_cp(0.0005).with_min_sizes(4, 2);
-        // Full table, a subset, and a bootstrap-style multiset with
-        // duplicates must all produce bit-identical trees.
+        // Full table, a subset, and a multiset with duplicates must all
+        // produce bit-identical trees.
         let all: Vec<usize> = (0..t.rows()).collect();
         let subset: Vec<usize> = (0..t.rows()).step_by(3).collect();
         let multiset: Vec<usize> = (0..t.rows()).map(|i| (i * 7 + 13) % t.rows()).collect();
@@ -752,17 +661,6 @@ mod tests {
             let reference = Tree::fit_on_rows_per_node_sort(&ds, &params, rows).unwrap();
             assert_eq!(presort, reference);
         }
-    }
-
-    #[test]
-    fn predict_rows_matches_subset_predict() {
-        let t = step_table(200);
-        let ds = CartDataset::regression(&t, "y", &["x", "k"]).unwrap();
-        let tree = Tree::fit(&ds, &CartParams::default()).unwrap();
-        let rows: Vec<usize> = (0..t.rows()).step_by(7).collect();
-        let direct = tree.predict_rows(&t, &rows).unwrap();
-        let via_subset = tree.predict(&t.subset(&rows)).unwrap();
-        assert_eq!(direct, via_subset);
     }
 
     #[test]
@@ -779,11 +677,11 @@ mod tests {
         let t = step_table(100);
         let ds = CartDataset::regression(&t, "y", &["x", "k"]).unwrap();
         let tree = Tree::fit(&ds, &CartParams::default()).unwrap();
-        // Table with only "y".
+        // Frame with only "y".
         let schema = Schema::new(vec![Field::new("y", FeatureKind::Continuous)]);
-        let mut b = TableBuilder::new(schema);
+        let mut b = FrameBuilder::new(schema);
         b.push_row(vec![Value::Continuous(0.0)]).unwrap();
-        let other = b.build();
+        let other = b.build().unwrap();
         assert!(matches!(tree.predict(&other), Err(CartError::MissingFeature { .. })));
     }
 
@@ -799,9 +697,9 @@ mod tests {
             Field::new("k", FeatureKind::Nominal),
             Field::new("y", FeatureKind::Continuous),
         ]);
-        let mut b = TableBuilder::new(schema);
+        let mut b = FrameBuilder::new(schema);
         b.push_row(vec!["10".into(), "a".into(), Value::Continuous(1.0)]).unwrap();
-        let drifted = b.build();
+        let drifted = b.build().unwrap();
         match tree.predict(&drifted) {
             Err(CartError::ColumnKindMismatch { feature, expected, found }) => {
                 assert_eq!(feature, "x");
@@ -812,25 +710,62 @@ mod tests {
         }
     }
 
+    /// A hand-built chain of splits, one per feature: internal node `i`
+    /// splits on `feature_names[i]` with `improvements[i]`, its right child
+    /// is a leaf and its left child the next split (a leaf after the last).
+    fn tree_with_improvements(feature_names: &[&str], improvements: &[f64]) -> Tree {
+        let k = feature_names.len();
+        let leaf = |id| Node {
+            id,
+            depth: 0,
+            n: 1,
+            risk: 0.0,
+            prediction: 0.0,
+            class_counts: None,
+            rule: None,
+            left: None,
+            right: None,
+            improvement: 0.0,
+        };
+        let mut nodes: Vec<Node> = (0..=2 * k).map(leaf).collect();
+        for (i, (&name, &improvement)) in feature_names.iter().zip(improvements).enumerate() {
+            let node = &mut nodes[i];
+            node.rule =
+                Some(SplitRule::OrdinalThreshold { feature: name.to_owned(), threshold: 0 });
+            node.left = Some(if i + 1 < k { i + 1 } else { 2 * k });
+            node.right = Some(k + i);
+            node.improvement = improvement;
+        }
+        Tree {
+            kind: TreeKind::Regression,
+            nodes,
+            feature_names: feature_names.iter().map(|&f| f.to_owned()).collect(),
+            target_name: "y".to_owned(),
+            root_risk: 1.0,
+            classes: Vec::new(),
+        }
+    }
+
     #[test]
-    fn collapse_and_compact_keep_tree_valid() {
-        let t = step_table(400);
-        let ds = CartDataset::regression(&t, "y", &["x", "k"]).unwrap();
-        let mut tree = Tree::fit(&ds, &CartParams::default().with_cp(0.001)).unwrap();
-        let before_leaves = tree.leaf_count();
-        // Collapse the root's left child if it's internal, else right.
-        let root = tree.root().clone();
-        let target =
-            [root.left, root.right].into_iter().flatten().find(|&c| !tree.nodes()[c].is_leaf());
-        if let Some(c) = target {
-            tree.collapse(c);
-            tree.compact();
-            assert!(tree.leaf_count() < before_leaves);
-            // Tree still predicts on the full table.
-            assert_eq!(tree.predict(&t).unwrap().len(), t.rows());
-            // ids are consistent after renumbering.
-            for (i, n) in tree.nodes().iter().enumerate() {
-                assert_eq!(n.id, i);
+    fn importance_total_is_summed_in_feature_order() {
+        // Float addition is not associative: (1 + ε) + ε rounds to 1, while
+        // 1 + (ε + ε) does not. The total, and every score, must follow the
+        // declared feature order, never a map's iteration order.
+        let eps = f64::EPSILON / 2.0;
+        assert_ne!((1.0 + eps) + eps, 1.0 + (eps + eps));
+        for names in [["a", "b", "c"], ["b", "c", "a"], ["c", "a", "b"]] {
+            let value = |f: &str| if f == "a" { 1.0 } else { eps };
+            let improvements: Vec<f64> = names.iter().map(|&f| value(f)).collect();
+            let tree = tree_with_improvements(&names, &improvements);
+            let total = improvements.iter().fold(0.0, |acc, v| acc + v);
+            for _ in 0..8 {
+                for (name, score) in tree.variable_importance() {
+                    assert_eq!(
+                        score.to_bits(),
+                        (100.0 * value(&name) / total).to_bits(),
+                        "{names:?}"
+                    );
+                }
             }
         }
     }

@@ -3,18 +3,17 @@
 use proptest::prelude::*;
 use rainshine_cart::dataset::CartDataset;
 use rainshine_cart::params::CartParams;
-use rainshine_cart::prune::{cp_sequence, pruned};
 use rainshine_cart::tree::Tree;
-use rainshine_telemetry::table::{FeatureKind, Field, Schema, Table, TableBuilder, Value};
+use rainshine_telemetry::frame::{FeatureKind, Field, Frame, FrameBuilder, Schema, Value};
 
 /// Builds a random regression table from generated (x, k, y) triples.
-fn table_from(rows: &[(f64, u8, f64)]) -> Table {
+fn table_from(rows: &[(f64, u8, f64)]) -> Frame {
     let schema = Schema::new(vec![
         Field::new("x", FeatureKind::Continuous),
         Field::new("k", FeatureKind::Nominal),
         Field::new("y", FeatureKind::Continuous),
     ]);
-    let mut b = TableBuilder::new(schema);
+    let mut b = FrameBuilder::new(schema);
     for (x, k, y) in rows {
         b.push_row(vec![
             Value::Continuous(*x),
@@ -23,7 +22,7 @@ fn table_from(rows: &[(f64, u8, f64)]) -> Table {
         ])
         .unwrap();
     }
-    b.build()
+    b.build().unwrap()
 }
 
 fn rows_strategy() -> impl Strategy<Value = Vec<(f64, u8, f64)>> {
@@ -85,36 +84,6 @@ proptest! {
                 prop_assert!(node.improvement >= -1e-9);
             }
         }
-    }
-
-    #[test]
-    fn pruning_is_monotone_in_cp(rows in rows_strategy()) {
-        let table = table_from(&rows);
-        let ds = CartDataset::regression(&table, "y", &["x", "k"]).unwrap();
-        let tree =
-            Tree::fit(&ds, &CartParams::default().with_min_sizes(10, 5).with_cp(0.0001)).unwrap();
-        let mut last = usize::MAX;
-        for cp in [0.0, 0.001, 0.01, 0.1, 1.0] {
-            let p = pruned(&tree, cp);
-            prop_assert!(p.leaf_count() <= last);
-            last = p.leaf_count();
-        }
-        prop_assert_eq!(pruned(&tree, 1.0).leaf_count(), 1);
-    }
-
-    #[test]
-    fn cp_sequence_is_well_formed(rows in rows_strategy()) {
-        let table = table_from(&rows);
-        let ds = CartDataset::regression(&table, "y", &["x", "k"]).unwrap();
-        let tree =
-            Tree::fit(&ds, &CartParams::default().with_min_sizes(10, 5).with_cp(0.0001)).unwrap();
-        let seq = cp_sequence(&tree);
-        prop_assert!(!seq.is_empty());
-        for w in seq.windows(2) {
-            prop_assert!(w[0].cp <= w[1].cp + 1e-9);
-            prop_assert!(w[0].leaves >= w[1].leaves);
-        }
-        prop_assert_eq!(seq.last().unwrap().leaves, 1);
     }
 
     #[test]

@@ -8,7 +8,7 @@
 //!   the identity;
 //! * frame-path vs row-path table assembly — the split-borrow columnar
 //!   emitter in `rainshine-core::dataset` equals a naive
-//!   [`TableBuilder::push_row`] rebuild;
+//!   [`FrameBuilder::push_row`] rebuild;
 //! * presorted vs per-node-sort CART fitting — the sort-once optimization
 //!   grows the same tree.
 //!
@@ -22,9 +22,9 @@ use rainshine_cart::tree::Tree;
 use rainshine_core::dataset::{rack_day_table, ticket_counts_by_rack_day, FaultFilter};
 use rainshine_dcsim::{Simulation, SimulationOutput};
 use rainshine_parallel::Parallelism;
+use rainshine_telemetry::frame::{Frame, FrameBuilder, Value};
 use rainshine_telemetry::quality::{Sanitizer, SanitizerConfig};
 use rainshine_telemetry::schema::{analysis_schema, columns};
-use rainshine_telemetry::table::{Table, TableBuilder, Value};
 
 use crate::scenario::Scenario;
 use crate::{ConformanceError, Result};
@@ -96,7 +96,7 @@ impl DiffOracle {
     /// labels, ordinal values, and continuous cells all participate.
     /// Structural mismatches (schema, arity, labels) are infinite
     /// divergence regardless of the bound.
-    pub fn compare_tables(&self, a: &Table, b: &Table) -> OracleReport {
+    pub fn compare_tables(&self, a: &Frame, b: &Frame) -> OracleReport {
         if a.schema().fields() != b.schema().fields() {
             return self.structural("schemas differ");
         }
@@ -107,7 +107,7 @@ impl DiffOracle {
         let mut max = 0.0f64;
         let mut first_diff: Option<String> = None;
         for field in a.schema().fields() {
-            use rainshine_telemetry::table::FeatureKind;
+            use rainshine_telemetry::frame::FeatureKind;
             match field.kind {
                 FeatureKind::Continuous => {
                     let (xa, xb) = match (a.continuous(&field.name), b.continuous(&field.name)) {
@@ -207,7 +207,7 @@ impl DiffOracle {
 }
 
 /// Rebuilds the rack-day analysis table through the generic row-by-row
-/// [`TableBuilder`] path, mirroring the exact emission and interning order
+/// [`FrameBuilder`] path, mirroring the exact emission and interning order
 /// of the columnar fast path in `rainshine-core::dataset`.
 ///
 /// # Errors
@@ -219,10 +219,10 @@ pub fn row_path_rack_day_table(
     output: &SimulationOutput,
     filter: FaultFilter,
     day_stride: usize,
-) -> Result<Table> {
+) -> Result<Frame> {
     let tickets = output.true_positives();
     let counts = ticket_counts_by_rack_day(&tickets, filter);
-    let mut builder = TableBuilder::new(analysis_schema());
+    let mut builder = FrameBuilder::new(analysis_schema());
     let mut push_error: Option<String> = None;
     output.for_each_active_rack_day(day_stride, |rack, t, env| {
         if push_error.is_some() {
@@ -255,7 +255,9 @@ pub fn row_path_rack_day_table(
             what: format!("row-path rebuild rejected a row: {e}"),
         });
     }
-    Ok(builder.build())
+    builder.build().map_err(|e| ConformanceError::InvalidScenario {
+        what: format!("row-path rebuild left ragged columns: {e}"),
+    })
 }
 
 /// Runs the standard oracle suite for a scenario at one seed.
@@ -350,7 +352,7 @@ pub fn standard_oracles(scenario: &Scenario, seed: u64) -> Result<Vec<OracleRepo
 #[cfg(test)]
 mod tests {
     use super::*;
-    use rainshine_telemetry::table::{FeatureKind, Field, Schema};
+    use rainshine_telemetry::frame::{FeatureKind, Field, Schema};
 
     fn schema() -> Schema {
         Schema::new(vec![
@@ -359,12 +361,12 @@ mod tests {
         ])
     }
 
-    fn table(xs: &[f64], labels: &[&str]) -> Table {
-        let mut b = TableBuilder::new(schema());
+    fn table(xs: &[f64], labels: &[&str]) -> Frame {
+        let mut b = FrameBuilder::new(schema());
         for (&x, &l) in xs.iter().zip(labels) {
             b.push_row(vec![Value::Continuous(x), Value::Nominal(l.to_string())]).unwrap();
         }
-        b.build()
+        b.build().unwrap()
     }
 
     #[test]
@@ -419,8 +421,8 @@ mod tests {
 
     #[test]
     fn zero_row_tables_are_identical() {
-        let a = TableBuilder::new(schema()).build();
-        let b = TableBuilder::new(schema()).build();
+        let a = FrameBuilder::new(schema()).build().unwrap();
+        let b = FrameBuilder::new(schema()).build().unwrap();
         let oracle = DiffOracle::new("t", DivergenceBound::BitIdentical);
         let r = oracle.compare_tables(&a, &b);
         assert!(!r.violation);

@@ -14,11 +14,11 @@ use std::collections::{BTreeMap, HashMap};
 
 use rainshine_dcsim::topology::RackInfo;
 use rainshine_dcsim::SimulationOutput;
+use rainshine_telemetry::frame::Frame;
 use rainshine_telemetry::frame::{ColumnBuilder, FrameBuilder};
 use rainshine_telemetry::ids::RackId;
 use rainshine_telemetry::rma::{FaultKind, HardwareFault, RmaTicket};
 use rainshine_telemetry::schema::analysis_schema;
-use rainshine_telemetry::table::Table;
 use rainshine_telemetry::time::SimTime;
 
 use crate::{AnalysisError, Result};
@@ -85,7 +85,7 @@ pub fn rack_day_table(
     output: &SimulationOutput,
     filter: FaultFilter,
     day_stride: usize,
-) -> Result<Table> {
+) -> Result<Frame> {
     if day_stride == 0 {
         return Err(AnalysisError::InvalidParameter { name: "day_stride", value: 0.0 });
     }
@@ -116,7 +116,7 @@ pub fn rack_day_table(
     if rows == 0 {
         return Err(AnalysisError::NoData { what: "no active rack-days in span".into() });
     }
-    Ok(Table::from_frame(builder.build()?))
+    Ok(builder.build()?)
 }
 
 /// Nominal codes for one rack's static features, interned once and reused
@@ -134,7 +134,7 @@ struct RackCodes {
 /// The 15 analysis-schema column builders, split-borrowed so the emission
 /// loop can append to all of them without per-row [`Value`] vectors.
 ///
-/// [`Value`]: rainshine_telemetry::table::Value
+/// [`Value`]: rainshine_telemetry::frame::Value
 struct AnalysisCols<'a> {
     sku: &'a mut ColumnBuilder,
     age: &'a mut ColumnBuilder,
@@ -227,7 +227,7 @@ impl<'a> AnalysisCols<'a> {
 /// # Errors
 ///
 /// Returns [`AnalysisError::NoData`] if no rack has a response.
-pub fn rack_table(output: &SimulationOutput, response: &HashMap<RackId, f64>) -> Result<Table> {
+pub fn rack_table(output: &SimulationOutput, response: &HashMap<RackId, f64>) -> Result<Frame> {
     let mut builder = FrameBuilder::new(analysis_schema());
     let start_day = output.config.start.days() as i64;
     let end_day = output.config.end.days() as i64;
@@ -269,7 +269,7 @@ pub fn rack_table(output: &SimulationOutput, response: &HashMap<RackId, f64>) ->
     if rows == 0 {
         return Err(AnalysisError::NoData { what: "no racks with responses".into() });
     }
-    Ok(Table::from_frame(builder.build()?))
+    Ok(builder.build()?)
 }
 
 #[cfg(test)]
@@ -311,7 +311,7 @@ mod tests {
         let out = sim();
         let all = rack_day_table(&out, FaultFilter::AllHardware, 2).unwrap();
         let disks = rack_day_table(&out, FaultFilter::Component(HardwareFault::Disk), 2).unwrap();
-        let sum = |t: &Table| t.continuous(columns::FAILURE_RATE).unwrap().iter().sum::<f64>();
+        let sum = |t: &Frame| t.continuous(columns::FAILURE_RATE).unwrap().iter().sum::<f64>();
         assert!(sum(&disks) < sum(&all));
         assert!(sum(&disks) > 0.0);
     }

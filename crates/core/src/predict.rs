@@ -19,8 +19,8 @@ use rainshine_cart::params::CartParams;
 use rainshine_cart::tree::Tree;
 use rainshine_dcsim::SimulationOutput;
 use rainshine_telemetry::frame::FrameBuilder;
+use rainshine_telemetry::frame::{FeatureKind, Field, Frame, Schema};
 use rainshine_telemetry::schema::columns;
-use rainshine_telemetry::table::{FeatureKind, Field, Schema, Table};
 use rainshine_telemetry::time::SimTime;
 use rand::seq::SliceRandom;
 use rand::SeedableRng;
@@ -206,7 +206,7 @@ pub const PREDICTION_FEATURES: &[&str] = &[
 fn build_prediction_table(
     output: &SimulationOutput,
     config: &PredictionConfig,
-) -> Result<(Table, Vec<u64>)> {
+) -> Result<(Frame, Vec<u64>)> {
     let tickets = output.true_positives();
     let counts = ticket_counts_by_rack_day(&tickets, FaultFilter::AllHardware);
     let start_day = output.config.start.days();
@@ -275,7 +275,7 @@ fn build_prediction_table(
             }
         }
     }
-    let table = Table::from_frame(builder.build()?);
+    let table = builder.build()?;
     if table.is_empty() {
         return Err(AnalysisError::NoData { what: "no eligible rack-days for prediction".into() });
     }

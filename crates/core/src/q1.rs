@@ -328,77 +328,6 @@ pub fn tco_savings(result: &ServerProvisioning, tco: &TcoModel) -> f64 {
     tco.relative_savings(result.servers, result.mf.spares, result.sf.spares)
 }
 
-/// Outcome of a spare-pool sharing comparison (one of Section II's open
-/// CapEx questions: "Should spares be maintained for each class of
-/// applications separately, or is it better to have a shared pool?").
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
-pub struct PoolingComparison {
-    /// Spares when every rack holds its own (Σ per-rack requirements).
-    pub dedicated_spares: f64,
-    /// Spares when one pool serves the whole scope (covering the
-    /// `coverage`-quantile of the *summed* per-window deficit).
-    pub shared_spares: f64,
-    /// Servers in scope.
-    pub servers: f64,
-}
-
-impl PoolingComparison {
-    /// Relative spare reduction from sharing (0.3 = 30 % fewer spares).
-    pub fn sharing_savings(&self) -> f64 {
-        if self.dedicated_spares <= 0.0 {
-            return 0.0;
-        }
-        1.0 - self.shared_spares / self.dedicated_spares
-    }
-}
-
-/// Compares dedicated (per-rack) vs shared (per-workload pool) spare
-/// requirements. Because failures across racks rarely peak in the same
-/// window, the pooled deficit quantile is at most — and usually far below —
-/// the sum of per-rack quantiles (statistical multiplexing). The paper's
-/// rack-affinity caveat (relocating VMs across racks costs network
-/// performance) is the price of these savings.
-///
-/// # Errors
-///
-/// Returns [`AnalysisError::NoData`] if the workload has no racks.
-pub fn pooling_comparison(
-    output: &SimulationOutput,
-    workload: Workload,
-    params: &ProvisionParams,
-) -> Result<PoolingComparison> {
-    let deficits = rack_deficits(output, workload, FaultFilter::AllHardware, params)?;
-    let servers: f64 = deficits.iter().map(|r| r.servers as f64).sum();
-    let dedicated: f64 = deficits.iter().map(|r| r.quantile(params.coverage) as f64).sum();
-
-    // Re-derive per-window deficits (window-aligned across racks) and sum.
-    let tickets: Vec<&RmaTicket> = output.hardware_tickets();
-    let mu = metrics::mu(
-        &tickets,
-        SpatialGranularity::Rack,
-        params.granularity,
-        output.config.start,
-        output.config.end,
-    );
-    let windows = params.granularity.window_count(output.config.start, output.config.end);
-    let mut total_by_window: HashMap<u64, u64> = HashMap::new();
-    let rack_ids: std::collections::HashSet<RackId> = deficits.iter().map(|r| r.rack).collect();
-    for rack in output.fleet.racks.iter().filter(|r| rack_ids.contains(&r.id)) {
-        let allowed = ((1.0 - params.sla) * rack.servers as f64).floor() as u64;
-        let key = SpatialGranularity::Rack.key(&rack.server_location(0));
-        if let Some(series) = mu.get(&key) {
-            for (&w, &v) in &series.nonzero {
-                if v > allowed {
-                    *total_by_window.entry(w).or_insert(0) += v - allowed;
-                }
-            }
-        }
-    }
-    let pooled: Vec<u64> = total_by_window.values().copied().collect();
-    let shared = quantile_with_zeros(&pooled, windows, params.coverage) as f64;
-    Ok(PoolingComparison { dedicated_spares: dedicated, shared_spares: shared, servers })
-}
-
 /// Cost (in relative units) of one provisioning level under the three
 /// approaches (Fig. 13 bars).
 #[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
@@ -608,32 +537,6 @@ mod tests {
         let r = provision_servers(&out, Workload::W6, &params).unwrap();
         let savings = tco_savings(&r, &TcoModel::default());
         assert!(savings >= 0.0, "savings {savings}");
-    }
-
-    #[test]
-    fn shared_pool_never_needs_more_than_dedicated() {
-        let out = sim();
-        for (sla, granularity) in [(1.0, TimeGranularity::Daily), (0.95, TimeGranularity::Hourly)] {
-            let params = ProvisionParams::new(sla, granularity);
-            let p = pooling_comparison(&out, Workload::W6, &params).unwrap();
-            assert!(
-                p.shared_spares <= p.dedicated_spares,
-                "shared {} > dedicated {}",
-                p.shared_spares,
-                p.dedicated_spares
-            );
-            assert!(p.sharing_savings() >= 0.0);
-            assert!(p.servers > 0.0);
-        }
-        // At 100% SLA daily, sharing should save something real: rack peaks
-        // rarely coincide.
-        let p = pooling_comparison(
-            &out,
-            Workload::W6,
-            &ProvisionParams::new(1.0, TimeGranularity::Daily),
-        )
-        .unwrap();
-        assert!(p.sharing_savings() > 0.1, "savings {}", p.sharing_savings());
     }
 
     #[test]

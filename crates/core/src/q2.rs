@@ -15,10 +15,10 @@ use std::collections::HashMap;
 use rainshine_cart::params::CartParams;
 use rainshine_cart::pdp::{stratified_effect_nominal, StratifiedEffect};
 use rainshine_dcsim::SimulationOutput;
+use rainshine_telemetry::frame::Frame;
 use rainshine_telemetry::ids::{RackId, Sku};
 use rainshine_telemetry::metrics::{self, SpatialGranularity};
 use rainshine_telemetry::schema::columns;
-use rainshine_telemetry::table::Table;
 use rainshine_telemetry::time::TimeGranularity;
 use serde::{Deserialize, Serialize};
 
@@ -147,7 +147,7 @@ pub struct MfSkuComparison {
 /// Propagates table/tree errors.
 pub fn mf_comparison(
     output: &SimulationOutput,
-    rack_day: &Table,
+    rack_day: &Frame,
     cart: &CartParams,
 ) -> Result<MfSkuComparison> {
     let avg = stratified_effect_nominal(

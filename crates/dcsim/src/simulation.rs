@@ -254,16 +254,6 @@ impl SimulationOutput {
         self.fleet.rack(id)
     }
 
-    /// Daily mean inlet conditions for a rack.
-    ///
-    /// # Panics
-    ///
-    /// Panics if the rack id is unknown.
-    pub fn rack_daily_env(&self, rack: RackId, day: u64) -> InletConditions {
-        let info = self.fleet.rack(rack).unwrap_or_else(|| panic!("unknown {rack}"));
-        self.env.daily_mean(info.dc, info.region, day)
-    }
-
     /// Daily mean inlet conditions *as the sensors reported them*: NaN
     /// during a blackout window, spiked during a spike cell, otherwise the
     /// true environment.
@@ -381,14 +371,5 @@ mod tests {
                 "no hardware tickets in {dc}"
             );
         }
-    }
-
-    #[test]
-    fn rack_env_lookup_works() {
-        let out = Simulation::new(FleetConfig::small(), 5).run();
-        let rack = out.fleet.racks[0].id;
-        let env = out.rack_daily_env(rack, 10);
-        assert!((56.0..=90.0).contains(&env.temp_f));
-        assert!((5.0..=87.0).contains(&env.rh));
     }
 }

@@ -26,14 +26,6 @@ pub struct WorkloadSpec {
     pub weekday_sensitivity: f64,
 }
 
-impl WorkloadSpec {
-    /// Geometric mean of the three component stresses — a scalar summary of
-    /// the workload's overall aggressiveness.
-    pub fn overall_stress(&self) -> f64 {
-        (self.disk_stress * self.memory_stress * self.server_stress).cbrt()
-    }
-}
-
 /// The full W1–W7 catalog.
 pub fn catalog() -> Vec<WorkloadSpec> {
     vec![
@@ -109,7 +101,11 @@ mod tests {
 
     #[test]
     fn fig6_ordering_holds_in_ground_truth() {
-        let stress = |w| spec_of(w).overall_stress();
+        // Geometric mean of the three component stresses.
+        let stress = |w| {
+            let s = spec_of(w);
+            (s.disk_stress * s.memory_stress * s.server_stress).cbrt()
+        };
         // W2 highest, W3 lowest.
         for w in Workload::ALL {
             if w != Workload::W2 {

@@ -1,7 +1,7 @@
 //! Deterministic data-parallel execution for the analysis hot paths.
 //!
-//! Every parallel stage in this workspace (forest fitting, PDP grids,
-//! bootstrap resampling, per-rack ticket generation) follows the same
+//! Every parallel stage in this workspace (per-rack and per-DC ticket
+//! generation, the conformance harness's per-seed sweep) follows the same
 //! recipe:
 //!
 //! 1. each work item is *independent* and carries its own derived RNG

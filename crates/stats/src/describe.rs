@@ -90,16 +90,6 @@ impl Summary {
     pub fn max(&self) -> f64 {
         self.max
     }
-
-    /// Coefficient of variation (sample stddev / mean); `None` if the mean
-    /// is zero.
-    pub fn coefficient_of_variation(&self) -> Option<f64> {
-        if self.mean == 0.0 {
-            None
-        } else {
-            Some(self.sample_stddev() / self.mean.abs())
-        }
-    }
 }
 
 /// Arithmetic mean of `data`.
@@ -210,12 +200,6 @@ mod tests {
     fn skewness_sign_for_right_tail() {
         let sk = skewness(&[1.0, 1.0, 1.0, 1.0, 10.0]).unwrap();
         assert!(sk > 0.0);
-    }
-
-    #[test]
-    fn cv_none_for_zero_mean() {
-        let s = Summary::from_slice(&[-1.0, 1.0]).unwrap();
-        assert_eq!(s.coefficient_of_variation(), None);
     }
 
     #[test]

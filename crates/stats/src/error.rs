@@ -38,12 +38,6 @@ pub enum StatsError {
         /// Human-readable description of the degenerate dimension.
         what: &'static str,
     },
-    /// A user-supplied statistic produced no usable finite value — on the
-    /// original sample, or on (nearly) every bootstrap replicate.
-    NonFiniteStatistic {
-        /// Where the statistic degenerated, e.g. `"the original sample"`.
-        what: &'static str,
-    },
 }
 
 impl fmt::Display for StatsError {
@@ -64,9 +58,6 @@ impl fmt::Display for StatsError {
             }
             StatsError::DegenerateDimension { what } => {
                 write!(f, "degenerate dimension: {what}")
-            }
-            StatsError::NonFiniteStatistic { what } => {
-                write!(f, "statistic was non-finite on {what}")
             }
         }
     }
@@ -105,7 +96,6 @@ mod tests {
             StatsError::InvalidParameter { name: "lambda", value: -1.0 }.to_string(),
             StatsError::LengthMismatch { left: 2, right: 3 }.to_string(),
             StatsError::DegenerateDimension { what: "zero bins" }.to_string(),
-            StatsError::NonFiniteStatistic { what: "the original sample" }.to_string(),
         ];
         for m in msgs {
             assert!(!m.is_empty());

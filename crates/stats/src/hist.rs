@@ -139,14 +139,6 @@ impl Histogram {
         self.total
     }
 
-    /// Relative frequency per bin (empty histogram yields all zeros).
-    pub fn frequencies(&self) -> Vec<f64> {
-        if self.total == 0 {
-            return vec![0.0; self.counts.len()];
-        }
-        self.counts.iter().map(|&c| c as f64 / self.total as f64).collect()
-    }
-
     /// The binner used.
     pub fn binner(&self) -> &Binner {
         &self.binner
@@ -259,12 +251,11 @@ mod tests {
     }
 
     #[test]
-    fn histogram_counts_and_frequencies() {
+    fn histogram_counts() {
         let b = Binner::from_edges(vec![1.0, 2.0]).unwrap();
         let h = Histogram::new(b, &[0.5, 1.5, 1.7, 2.5]).unwrap();
         assert_eq!(h.counts(), &[1, 2, 1]);
         assert_eq!(h.total(), 4);
-        assert_eq!(h.frequencies(), vec![0.25, 0.5, 0.25]);
     }
 
     #[test]

@@ -9,16 +9,13 @@
 //! * descriptive statistics ([`describe`], [`running`]),
 //! * empirical CDFs and quantiles ([`ecdf`]),
 //! * histograms and binning ([`hist`]),
-//! * correlation measures ([`corr`]),
-//! * bootstrap confidence intervals ([`bootstrap`]),
-//! * hypothesis tests — chi-square, Kolmogorov–Smirnov, Welch t ([`htest`]),
 //! * random-variate distributions — Poisson, exponential, Weibull,
 //!   log-normal, normal, Bernoulli, categorical ([`dist`]),
 //! * impurity measures used by CART — Gini, entropy, variance ([`impurity`]),
 //! * survival analysis — Kaplan–Meier, life-table hazards, Weibull MLE
 //!   ([`survival`]),
-//! * time-series diagnostics — ACF, Ljung–Box, dispersion ([`timeseries`]),
-//! * special functions backing the above ([`special`]).
+//! * isotonic regression for monotone dose-response curves ([`timeseries`]),
+//! * the log-gamma function backing the distributions ([`special`]).
 //!
 //! # Example
 //!
@@ -31,13 +28,10 @@
 //! # Ok::<(), rainshine_stats::StatsError>(())
 //! ```
 
-pub mod bootstrap;
-pub mod corr;
 pub mod describe;
 pub mod dist;
 pub mod ecdf;
 pub mod hist;
-pub mod htest;
 pub mod impurity;
 pub mod running;
 pub mod special;

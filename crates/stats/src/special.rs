@@ -1,8 +1,8 @@
-//! Special functions backing distribution CDFs and hypothesis tests.
+//! Special functions backing the distribution log-densities.
 //!
-//! Implementations follow the classical Lanczos / continued-fraction
-//! formulations (Numerical Recipes style) and are accurate to roughly
-//! 1e-10 over the domains exercised by this workspace.
+//! The implementation follows the classical Lanczos formulation (Numerical
+//! Recipes style) and is accurate to roughly 1e-10 over the domains
+//! exercised by this workspace.
 
 /// Natural log of the gamma function, `ln Γ(x)`, for `x > 0`.
 ///
@@ -39,194 +39,6 @@ pub fn ln_gamma(x: f64) -> f64 {
     0.5 * (2.0 * std::f64::consts::PI).ln() + (x + 0.5) * t.ln() - t + acc.ln()
 }
 
-/// Regularized lower incomplete gamma function `P(a, x)`.
-///
-/// `P(a, x) = γ(a, x) / Γ(a)`; this is the CDF of a Gamma(a, 1) variable,
-/// and `P(k/2, x/2)` is the chi-square CDF with `k` degrees of freedom.
-///
-/// # Panics
-///
-/// Panics if `a <= 0` or `x < 0`.
-pub fn gamma_p(a: f64, x: f64) -> f64 {
-    assert!(a > 0.0, "gamma_p requires a > 0, got {a}");
-    assert!(x >= 0.0, "gamma_p requires x >= 0, got {x}");
-    if x == 0.0 {
-        return 0.0;
-    }
-    if x < a + 1.0 {
-        gamma_p_series(a, x)
-    } else {
-        1.0 - gamma_q_cf(a, x)
-    }
-}
-
-/// Regularized upper incomplete gamma function `Q(a, x) = 1 − P(a, x)`.
-///
-/// # Panics
-///
-/// Panics if `a <= 0` or `x < 0`.
-pub fn gamma_q(a: f64, x: f64) -> f64 {
-    1.0 - gamma_p(a, x)
-}
-
-/// Series expansion for P(a, x), converges fast for x < a + 1.
-fn gamma_p_series(a: f64, x: f64) -> f64 {
-    let mut term = 1.0 / a;
-    let mut sum = term;
-    let mut ap = a;
-    for _ in 0..500 {
-        ap += 1.0;
-        term *= x / ap;
-        sum += term;
-        if term.abs() < sum.abs() * 1e-15 {
-            break;
-        }
-    }
-    sum * (-x + a * x.ln() - ln_gamma(a)).exp()
-}
-
-/// Continued fraction for Q(a, x), converges fast for x >= a + 1.
-fn gamma_q_cf(a: f64, x: f64) -> f64 {
-    const TINY: f64 = 1e-300;
-    let mut b = x + 1.0 - a;
-    let mut c = 1.0 / TINY;
-    let mut d = 1.0 / b;
-    let mut h = d;
-    for i in 1..500 {
-        let an = -(i as f64) * (i as f64 - a);
-        b += 2.0;
-        d = an * d + b;
-        if d.abs() < TINY {
-            d = TINY;
-        }
-        c = b + an / c;
-        if c.abs() < TINY {
-            c = TINY;
-        }
-        d = 1.0 / d;
-        let delta = d * c;
-        h *= delta;
-        if (delta - 1.0).abs() < 1e-15 {
-            break;
-        }
-    }
-    (-x + a * x.ln() - ln_gamma(a)).exp() * h
-}
-
-/// Regularized incomplete beta function `I_x(a, b)`.
-///
-/// This is the CDF of a Beta(a, b) variable and underlies the Student-t CDF.
-///
-/// # Panics
-///
-/// Panics if `a <= 0`, `b <= 0`, or `x` outside `[0, 1]`.
-pub fn beta_inc(a: f64, b: f64, x: f64) -> f64 {
-    assert!(a > 0.0 && b > 0.0, "beta_inc requires a, b > 0");
-    assert!((0.0..=1.0).contains(&x), "beta_inc requires x in [0, 1], got {x}");
-    if x == 0.0 {
-        return 0.0;
-    }
-    if x == 1.0 {
-        return 1.0;
-    }
-    let ln_front = ln_gamma(a + b) - ln_gamma(a) - ln_gamma(b) + a * x.ln() + b * (1.0 - x).ln();
-    let front = ln_front.exp();
-    if x < (a + 1.0) / (a + b + 2.0) {
-        front * beta_cf(a, b, x) / a
-    } else {
-        1.0 - front * beta_cf(b, a, 1.0 - x) / b
-    }
-}
-
-/// Lentz continued fraction for the incomplete beta.
-fn beta_cf(a: f64, b: f64, x: f64) -> f64 {
-    const TINY: f64 = 1e-300;
-    let qab = a + b;
-    let qap = a + 1.0;
-    let qam = a - 1.0;
-    let mut c = 1.0;
-    let mut d = 1.0 - qab * x / qap;
-    if d.abs() < TINY {
-        d = TINY;
-    }
-    d = 1.0 / d;
-    let mut h = d;
-    for m in 1..500 {
-        let m = m as f64;
-        let m2 = 2.0 * m;
-        let aa = m * (b - m) * x / ((qam + m2) * (a + m2));
-        d = 1.0 + aa * d;
-        if d.abs() < TINY {
-            d = TINY;
-        }
-        c = 1.0 + aa / c;
-        if c.abs() < TINY {
-            c = TINY;
-        }
-        d = 1.0 / d;
-        h *= d * c;
-        let aa = -(a + m) * (qab + m) * x / ((a + m2) * (qap + m2));
-        d = 1.0 + aa * d;
-        if d.abs() < TINY {
-            d = TINY;
-        }
-        c = 1.0 + aa / c;
-        if c.abs() < TINY {
-            c = TINY;
-        }
-        d = 1.0 / d;
-        let delta = d * c;
-        h *= delta;
-        if (delta - 1.0).abs() < 1e-15 {
-            break;
-        }
-    }
-    h
-}
-
-/// Error function `erf(x)` via the incomplete gamma relation.
-pub fn erf(x: f64) -> f64 {
-    if x == 0.0 {
-        return 0.0;
-    }
-    let p = gamma_p(0.5, x * x);
-    if x > 0.0 {
-        p
-    } else {
-        -p
-    }
-}
-
-/// Standard normal CDF `Φ(x)`.
-pub fn std_normal_cdf(x: f64) -> f64 {
-    0.5 * (1.0 + erf(x / std::f64::consts::SQRT_2))
-}
-
-/// Chi-square CDF with `df` degrees of freedom.
-///
-/// # Panics
-///
-/// Panics if `df <= 0` or `x < 0`.
-pub fn chi_square_cdf(x: f64, df: f64) -> f64 {
-    gamma_p(df / 2.0, x / 2.0)
-}
-
-/// Student-t CDF with `df` degrees of freedom.
-///
-/// # Panics
-///
-/// Panics if `df <= 0`.
-pub fn student_t_cdf(t: f64, df: f64) -> f64 {
-    assert!(df > 0.0, "student_t_cdf requires df > 0, got {df}");
-    let x = df / (df + t * t);
-    let p = 0.5 * beta_inc(df / 2.0, 0.5, x);
-    if t >= 0.0 {
-        1.0 - p
-    } else {
-        p
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -244,59 +56,5 @@ mod tests {
         close(ln_gamma(11.0), 3_628_800f64.ln(), 1e-9);
         // Γ(0.5) = sqrt(pi)
         close(ln_gamma(0.5), std::f64::consts::PI.sqrt().ln(), 1e-10);
-    }
-
-    #[test]
-    fn gamma_p_known_values() {
-        // P(1, x) = 1 - e^{-x}
-        close(gamma_p(1.0, 2.0), 1.0 - (-2.0f64).exp(), 1e-10);
-        close(gamma_p(1.0, 0.0), 0.0, 1e-15);
-        // Complementarity
-        close(gamma_p(3.0, 2.5) + gamma_q(3.0, 2.5), 1.0, 1e-12);
-        // Large x limit
-        close(gamma_p(2.0, 100.0), 1.0, 1e-10);
-    }
-
-    #[test]
-    fn erf_known_values() {
-        close(erf(0.0), 0.0, 1e-15);
-        close(erf(1.0), 0.842_700_792_949_715, 1e-9);
-        close(erf(-1.0), -0.842_700_792_949_715, 1e-9);
-        close(erf(3.0), 0.999_977_909_503_001, 1e-9);
-    }
-
-    #[test]
-    fn normal_cdf_symmetry() {
-        close(std_normal_cdf(0.0), 0.5, 1e-12);
-        close(std_normal_cdf(1.959_963_985), 0.975, 1e-6);
-        close(std_normal_cdf(-1.0) + std_normal_cdf(1.0), 1.0, 1e-12);
-    }
-
-    #[test]
-    fn chi_square_cdf_known_values() {
-        // df=2 is Exponential(1/2): CDF = 1 - e^{-x/2}
-        close(chi_square_cdf(2.0, 2.0), 1.0 - (-1.0f64).exp(), 1e-10);
-        // 95th percentile of chi2(1) is about 3.841
-        close(chi_square_cdf(3.841_458_8, 1.0), 0.95, 1e-6);
-    }
-
-    #[test]
-    fn student_t_cdf_known_values() {
-        close(student_t_cdf(0.0, 5.0), 0.5, 1e-12);
-        // t(1) is Cauchy: CDF(1) = 3/4
-        close(student_t_cdf(1.0, 1.0), 0.75, 1e-9);
-        // Large df approaches normal
-        close(student_t_cdf(1.96, 1e6), std_normal_cdf(1.96), 1e-4);
-    }
-
-    #[test]
-    fn beta_inc_boundaries_and_symmetry() {
-        close(beta_inc(2.0, 3.0, 0.0), 0.0, 1e-15);
-        close(beta_inc(2.0, 3.0, 1.0), 1.0, 1e-15);
-        // I_x(a,b) = 1 - I_{1-x}(b,a)
-        let x = 0.3;
-        close(beta_inc(2.5, 1.5, x), 1.0 - beta_inc(1.5, 2.5, 1.0 - x), 1e-10);
-        // I_x(1,1) = x (uniform)
-        close(beta_inc(1.0, 1.0, 0.42), 0.42, 1e-10);
     }
 }

@@ -1,33 +1,169 @@
-//! Zero-copy columnar frames.
+//! Typed columnar frames: the dataset representation for CART and the
+//! analysis framework.
 //!
-//! [`Frame`] is the workspace's columnar storage primitive: each column is
-//! one contiguous typed buffer (`Vec<f64>` / `Vec<i64>` / `Vec<u32>` codes),
-//! nominal columns share their category labels through a reference-counted
-//! [`Dictionary`], and row subsets are either *borrowed* ([`FrameView`] — no
-//! copying at all) or *materialized* ([`Frame::subset`] — values gathered,
-//! dictionaries and schema shared, never cloned).
+//! A [`Frame`]'s columns are **continuous**, **nominal** (categorical
+//! without order, e.g. SKU or DC), or **ordinal** (categorical with order,
+//! e.g. day-of-week) — exactly the three feature types of the paper's
+//! Table III. Each column is one contiguous typed buffer (`Vec<f64>` /
+//! `Vec<u32>` codes / `Vec<i64>`); nominal columns share their category
+//! labels through a reference-counted [`Dictionary`], and
+//! [`Frame::subset`] gathers values into fresh buffers but shares the
+//! schema and every dictionary, so codes remain comparable across a frame
+//! and all its subsets.
 //!
-//! [`crate::table::Table`] is a thin wrapper over `Frame` that keeps the
-//! original row-oriented convenience API; hot paths (the simulator's
-//! rack-day emission, CART fitting) go straight to the columns via
-//! [`FrameBuilder::columns_mut`] and the typed accessors, so no per-row
-//! `Vec<Value>` or label `String` is ever allocated there.
+//! Hot paths (the simulator's rack-day emission) assemble frames
+//! column-wise through [`FrameBuilder::columns_mut`], so no per-row
+//! `Vec<Value>` or label `String` is ever allocated there; tests and small
+//! tables use the row-oriented [`FrameBuilder::push_row`].
 //!
-//! # Ownership and borrowing rules
+//! # Example
 //!
-//! * `Frame` is immutable once built; cloning a frame clones the value
-//!   buffers but *shares* schema and dictionaries (`Arc`).
-//! * `FrameView` borrows both the frame and the row-index slice; it never
-//!   allocates. Use it to thread a row subset through analysis code.
-//! * `Frame::subset` gathers values into fresh buffers but shares the
-//!   schema and every nominal dictionary, so codes remain comparable
-//!   across a frame and all its subsets.
+//! ```
+//! use rainshine_telemetry::frame::{Field, FeatureKind, FrameBuilder, Schema, Value};
+//!
+//! let schema = Schema::new(vec![
+//!     Field::new("temp", FeatureKind::Continuous),
+//!     Field::new("sku", FeatureKind::Nominal),
+//! ]);
+//! let mut b = FrameBuilder::new(schema);
+//! b.push_row(vec![Value::Continuous(72.0), Value::Nominal("S1".into())])?;
+//! b.push_row(vec![Value::Continuous(80.5), Value::Nominal("S2".into())])?;
+//! let frame = b.build()?;
+//! assert_eq!(frame.rows(), 2);
+//! assert_eq!(frame.continuous("temp")?[1], 80.5);
+//! assert_eq!(frame.nominal_label("sku", 1)?, "S2");
+//! # Ok::<(), rainshine_telemetry::TelemetryError>(())
+//! ```
 
 use std::collections::HashMap;
+use std::fmt;
 use std::sync::Arc;
 
-use crate::table::{FeatureKind, Schema, Value};
+use serde::{Deserialize, Serialize};
+
 use crate::{Result, TelemetryError};
+
+/// The type of a feature column (Table III's C / N / O).
+#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash, Serialize, Deserialize)]
+pub enum FeatureKind {
+    /// Real-valued (temperature, age, rated power).
+    Continuous,
+    /// Categorical without implicit order (SKU, workload, DC, rack).
+    Nominal,
+    /// Categorical with order (day, week, month, year).
+    Ordinal,
+}
+
+impl FeatureKind {
+    fn name(&self) -> &'static str {
+        match self {
+            FeatureKind::Continuous => "continuous",
+            FeatureKind::Nominal => "nominal",
+            FeatureKind::Ordinal => "ordinal",
+        }
+    }
+}
+
+impl fmt::Display for FeatureKind {
+    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        f.write_str(self.name())
+    }
+}
+
+/// A named, typed column declaration.
+#[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize)]
+pub struct Field {
+    /// Column name, unique within a schema.
+    pub name: String,
+    /// Column type.
+    pub kind: FeatureKind,
+}
+
+impl Field {
+    /// Creates a field.
+    pub fn new(name: impl Into<String>, kind: FeatureKind) -> Self {
+        Field { name: name.into(), kind }
+    }
+}
+
+/// An ordered set of fields.
+#[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize, Default)]
+pub struct Schema {
+    fields: Vec<Field>,
+}
+
+impl Schema {
+    /// Creates a schema from fields.
+    ///
+    /// # Panics
+    ///
+    /// Panics if two fields share a name.
+    pub fn new(fields: Vec<Field>) -> Self {
+        for (i, f) in fields.iter().enumerate() {
+            assert!(
+                !fields[..i].iter().any(|g| g.name == f.name),
+                "duplicate field name `{}`",
+                f.name
+            );
+        }
+        Schema { fields }
+    }
+
+    /// The fields in declaration order.
+    pub fn fields(&self) -> &[Field] {
+        &self.fields
+    }
+
+    /// Number of columns.
+    pub fn len(&self) -> usize {
+        self.fields.len()
+    }
+
+    /// Whether the schema has no columns.
+    pub fn is_empty(&self) -> bool {
+        self.fields.is_empty()
+    }
+
+    /// Index of the column named `name`.
+    pub fn index_of(&self, name: &str) -> Option<usize> {
+        self.fields.iter().position(|f| f.name == name)
+    }
+}
+
+/// A single cell value, used when assembling rows.
+#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+pub enum Value {
+    /// A continuous observation.
+    Continuous(f64),
+    /// A nominal category label (interned on insert).
+    Nominal(String),
+    /// An ordinal level.
+    Ordinal(i64),
+}
+
+impl From<f64> for Value {
+    fn from(v: f64) -> Self {
+        Value::Continuous(v)
+    }
+}
+
+impl From<&str> for Value {
+    fn from(v: &str) -> Self {
+        Value::Nominal(v.to_owned())
+    }
+}
+
+impl From<String> for Value {
+    fn from(v: String) -> Self {
+        Value::Nominal(v)
+    }
+}
+
+impl From<i64> for Value {
+    fn from(v: i64) -> Self {
+        Value::Ordinal(v)
+    }
+}
 
 /// An immutable, shareable set of interned category labels.
 ///
@@ -48,21 +184,6 @@ impl Dictionary {
     /// The labels, indexed by code.
     pub fn labels(&self) -> &[String] {
         &self.labels
-    }
-
-    /// Number of distinct labels.
-    pub fn len(&self) -> usize {
-        self.labels.len()
-    }
-
-    /// Whether the dictionary has no labels.
-    pub fn is_empty(&self) -> bool {
-        self.labels.is_empty()
-    }
-
-    /// The label of `code`, if in range.
-    pub fn label(&self, code: u32) -> Option<&str> {
-        self.labels.get(code as usize).map(String::as_str)
     }
 
     /// The code of `label`, if interned.
@@ -147,9 +268,8 @@ impl Column {
     }
 }
 
-// Serialized exactly like the pre-frame derived column enum, so `Table`
-// JSON (and every results file) keeps its shape: the dictionary appears
-// under the `categories` key as a plain label array.
+// Serialized as an externally tagged enum; the dictionary appears under
+// the `categories` key as a plain label array.
 impl serde::Serialize for Column {
     fn to_value(&self) -> serde::Value {
         let (tag, inner) = match self {
@@ -187,8 +307,7 @@ impl serde::Deserialize for Column {
 
 /// An immutable typed columnar frame.
 ///
-/// Construct one with [`FrameBuilder`] (columnar, zero per-row overhead)
-/// or through [`crate::table::TableBuilder`] (row-oriented convenience).
+/// Construct one with [`FrameBuilder`].
 #[derive(Debug, Clone, PartialEq)]
 pub struct Frame {
     schema: Arc<Schema>,
@@ -225,11 +344,6 @@ impl Frame {
         &self.schema
     }
 
-    /// The shared schema handle (an `Arc` bump, not a deep clone).
-    pub fn schema_arc(&self) -> Arc<Schema> {
-        Arc::clone(&self.schema)
-    }
-
     /// Number of rows.
     pub fn rows(&self) -> usize {
         self.rows
@@ -240,27 +354,8 @@ impl Frame {
         self.rows == 0
     }
 
-    /// All columns, in schema order.
-    pub fn columns(&self) -> &[Column] {
-        &self.columns
-    }
-
-    /// The column at `idx`.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `idx` is out of bounds.
-    pub fn column(&self, idx: usize) -> &Column {
-        &self.columns[idx]
-    }
-
     /// Looks up a column by name.
-    ///
-    /// # Errors
-    ///
-    /// Returns [`TelemetryError::UnknownColumn`] if `name` is not in the
-    /// schema.
-    pub fn column_by_name(&self, name: &str) -> Result<(usize, &Column)> {
+    fn column_by_name(&self, name: &str) -> Result<(usize, &Column)> {
         let idx = self
             .schema
             .index_of(name)
@@ -304,6 +399,48 @@ impl Frame {
         }
     }
 
+    /// The category labels of a nominal column, indexed by code.
+    ///
+    /// # Errors
+    ///
+    /// Returns an error if the column is missing or not nominal.
+    pub fn categories(&self, name: &str) -> Result<&[String]> {
+        Ok(self.dictionary(name)?.labels())
+    }
+
+    /// The nominal label of `row` in column `name`.
+    ///
+    /// # Errors
+    ///
+    /// Returns an error if the column is missing or not nominal.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `row` is out of bounds.
+    pub fn nominal_label(&self, name: &str, row: usize) -> Result<&str> {
+        let codes = self.nominal_codes(name)?;
+        Ok(&self.categories(name)?[codes[row] as usize])
+    }
+
+    /// Row indices whose nominal column equals `label`.
+    ///
+    /// Returns an empty vector if the label never occurs.
+    ///
+    /// # Errors
+    ///
+    /// Returns an error if the column is missing or not nominal.
+    pub fn filter_nominal(&self, name: &str, label: &str) -> Result<Vec<usize>> {
+        let Some(code) = self.dictionary(name)?.code_of(label) else {
+            return Ok(Vec::new());
+        };
+        Ok(self
+            .nominal_codes(name)?
+            .iter()
+            .enumerate()
+            .filter_map(|(i, &c)| (c == code).then_some(i))
+            .collect())
+    }
+
     /// The values of an ordinal column.
     ///
     /// # Errors
@@ -329,15 +466,9 @@ impl Frame {
             rows: rows.len(),
         }
     }
-
-    /// A borrowed view of `rows` — no gathering, no allocation.
-    pub fn view<'a>(&'a self, rows: &'a [usize]) -> FrameView<'a> {
-        FrameView { frame: self, rows }
-    }
 }
 
-// Serialized as `{ schema, columns, rows }`, byte-compatible with the
-// pre-frame derived `Table` representation.
+// Serialized as `{ schema, columns, rows }`.
 impl serde::Serialize for Frame {
     fn to_value(&self) -> serde::Value {
         serde::Value::Object(vec![
@@ -375,71 +506,6 @@ fn kind_mismatch(name: &str, requested: &'static str, actual: &Column) -> Teleme
         Column::Ordinal(_) => "ordinal",
     };
     TelemetryError::KindMismatch { name: name.to_owned(), requested, actual }
-}
-
-/// A borrowed row subset of a [`Frame`]: the frame and the index slice
-/// are both borrowed, so constructing a view allocates nothing.
-#[derive(Debug, Clone, Copy)]
-pub struct FrameView<'a> {
-    frame: &'a Frame,
-    rows: &'a [usize],
-}
-
-impl<'a> FrameView<'a> {
-    /// The underlying frame.
-    pub fn frame(&self) -> &'a Frame {
-        self.frame
-    }
-
-    /// The row indices this view selects, in order.
-    pub fn rows(&self) -> &'a [usize] {
-        self.rows
-    }
-
-    /// Number of selected rows.
-    pub fn len(&self) -> usize {
-        self.rows.len()
-    }
-
-    /// Whether the view selects no rows.
-    pub fn is_empty(&self) -> bool {
-        self.rows.is_empty()
-    }
-
-    /// Gathers the selected values of a continuous column.
-    ///
-    /// # Errors
-    ///
-    /// Returns an error if the column is missing or not continuous.
-    pub fn gather_continuous(&self, name: &str) -> Result<Vec<f64>> {
-        let data = self.frame.continuous(name)?;
-        Ok(self.rows.iter().map(|&r| data[r]).collect())
-    }
-
-    /// Gathers the selected codes of a nominal column.
-    ///
-    /// # Errors
-    ///
-    /// Returns an error if the column is missing or not nominal.
-    pub fn gather_codes(&self, name: &str) -> Result<Vec<u32>> {
-        let codes = self.frame.nominal_codes(name)?;
-        Ok(self.rows.iter().map(|&r| codes[r]).collect())
-    }
-
-    /// Gathers the selected values of an ordinal column.
-    ///
-    /// # Errors
-    ///
-    /// Returns an error if the column is missing or not ordinal.
-    pub fn gather_ordinal(&self, name: &str) -> Result<Vec<i64>> {
-        let data = self.frame.ordinal(name)?;
-        Ok(self.rows.iter().map(|&r| data[r]).collect())
-    }
-
-    /// Materializes the view into an owned frame (see [`Frame::subset`]).
-    pub fn materialize(&self) -> Frame {
-        self.frame.subset(self.rows)
-    }
 }
 
 /// Mutable storage for one column while a frame is being assembled.
@@ -604,7 +670,7 @@ impl ColumnBuilder {
 ///
 /// ```
 /// use rainshine_telemetry::frame::FrameBuilder;
-/// use rainshine_telemetry::table::{Field, FeatureKind, Schema};
+/// use rainshine_telemetry::frame::{Field, FeatureKind, Schema};
 ///
 /// let schema = Schema::new(vec![
 ///     Field::new("temp", FeatureKind::Continuous),
@@ -631,32 +697,14 @@ pub struct FrameBuilder {
 impl FrameBuilder {
     /// Creates a builder with one [`ColumnBuilder`] per schema field.
     pub fn new(schema: Schema) -> Self {
-        FrameBuilder::with_schema_arc(Arc::new(schema))
-    }
-
-    /// Like [`FrameBuilder::new`] but sharing an existing schema handle.
-    pub fn with_schema_arc(schema: Arc<Schema>) -> Self {
+        let schema = Arc::new(schema);
         let columns = schema.fields().iter().map(|f| ColumnBuilder::new(f.kind)).collect();
         FrameBuilder { schema, columns }
-    }
-
-    /// The target schema.
-    pub fn schema(&self) -> &Schema {
-        &self.schema
     }
 
     /// All column builders, for split borrows in emission loops.
     pub fn columns_mut(&mut self) -> &mut [ColumnBuilder] {
         &mut self.columns
-    }
-
-    /// The builder for the column at `idx`.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `idx` is out of bounds.
-    pub fn column_mut(&mut self, idx: usize) -> &mut ColumnBuilder {
-        &mut self.columns[idx]
     }
 
     /// Reserves capacity for `additional` rows in every column.
@@ -666,8 +714,8 @@ impl FrameBuilder {
         }
     }
 
-    /// Appends one row from cell values (the row-oriented compatibility
-    /// path used by [`crate::table::TableBuilder`]).
+    /// Appends one row from cell values (the row-oriented path for tests
+    /// and small tables).
     ///
     /// # Errors
     ///
@@ -721,7 +769,6 @@ impl FrameBuilder {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::table::Field;
 
     fn sample_schema() -> Schema {
         Schema::new(vec![
@@ -755,7 +802,7 @@ mod tests {
     #[test]
     fn intern_then_push_code_skips_reinterning() {
         let mut b = FrameBuilder::new(Schema::new(vec![Field::new("k", FeatureKind::Nominal)]));
-        let k = b.column_mut(0);
+        let k = &mut b.columns_mut()[0];
         let a = k.intern("a");
         let b2 = k.intern("b");
         assert_eq!(k.intern("a"), a);
@@ -768,8 +815,62 @@ mod tests {
     #[test]
     fn build_rejects_ragged_columns() {
         let mut b = FrameBuilder::new(sample_schema());
-        b.column_mut(0).push_f64(1.0);
+        b.columns_mut()[0].push_f64(1.0);
         assert!(matches!(b.build(), Err(TelemetryError::RowArity { .. })));
+    }
+
+    #[test]
+    fn row_assembly_interns_labels_in_first_seen_order() {
+        let mut b = FrameBuilder::new(sample_schema());
+        for (x, k, o) in [(1.0, "a", 0i64), (2.0, "b", 1), (3.0, "a", 2), (4.0, "c", 0)] {
+            b.push_row(vec![x.into(), k.into(), o.into()]).unwrap();
+        }
+        let f = b.build().unwrap();
+        assert_eq!(f, sample_frame());
+        assert_eq!(f.categories("k").unwrap(), &["a", "b", "c"]);
+        assert_eq!(f.nominal_label("k", 3).unwrap(), "c");
+    }
+
+    #[test]
+    fn kind_mismatch_errors() {
+        let f = sample_frame();
+        assert!(matches!(f.continuous("k"), Err(TelemetryError::KindMismatch { .. })));
+        assert!(matches!(f.nominal_codes("x"), Err(TelemetryError::KindMismatch { .. })));
+        assert!(matches!(f.ordinal("k"), Err(TelemetryError::KindMismatch { .. })));
+        assert!(matches!(f.continuous("nope"), Err(TelemetryError::UnknownColumn { .. })));
+    }
+
+    #[test]
+    fn push_row_validates_arity_and_kind() {
+        let schema = Schema::new(vec![Field::new("x", FeatureKind::Continuous)]);
+        let mut b = FrameBuilder::new(schema);
+        assert!(matches!(
+            b.push_row(vec![]),
+            Err(TelemetryError::RowArity { expected: 1, got: 0 })
+        ));
+        assert!(matches!(
+            b.push_row(vec![Value::Nominal("a".into())]),
+            Err(TelemetryError::ValueKind { column: 0 })
+        ));
+        // Failed pushes leave the builder usable.
+        b.push_row(vec![Value::Continuous(1.0)]).unwrap();
+        assert_eq!(b.build().unwrap().rows(), 1);
+    }
+
+    #[test]
+    fn filter_nominal_selects_matching_rows() {
+        let f = sample_frame();
+        assert_eq!(f.filter_nominal("k", "a").unwrap(), vec![0, 2]);
+        assert_eq!(f.filter_nominal("k", "zzz").unwrap(), Vec::<usize>::new());
+    }
+
+    #[test]
+    #[should_panic(expected = "duplicate field name")]
+    fn schema_rejects_duplicates() {
+        Schema::new(vec![
+            Field::new("x", FeatureKind::Continuous),
+            Field::new("x", FeatureKind::Nominal),
+        ]);
     }
 
     #[test]
@@ -781,18 +882,6 @@ mod tests {
         assert_eq!(s.nominal_codes("k").unwrap(), &[2, 0]);
         assert!(s.dictionary("k").unwrap().same_allocation(f.dictionary("k").unwrap()));
         assert!(Arc::ptr_eq(&s.schema, &f.schema));
-    }
-
-    #[test]
-    fn view_borrows_without_gathering() {
-        let f = sample_frame();
-        let rows = [1, 3];
-        let v = f.view(&rows);
-        assert_eq!(v.len(), 2);
-        assert_eq!(v.gather_continuous("x").unwrap(), vec![2.0, 4.0]);
-        assert_eq!(v.gather_codes("k").unwrap(), vec![1, 2]);
-        assert_eq!(v.gather_ordinal("o").unwrap(), vec![1, 0]);
-        assert_eq!(v.materialize(), f.subset(&rows));
     }
 
     #[test]
@@ -839,7 +928,5 @@ mod tests {
         assert!(!d1.same_allocation(&d3));
         assert_eq!(d1, d3);
         assert_eq!(d1.code_of("b"), Some(1));
-        assert_eq!(d1.label(0), Some("a"));
-        assert_eq!(d1.label(9), None);
     }
 }

@@ -11,11 +11,9 @@
 //!   aggregation windows ([`time::TimeGranularity`]);
 //! * [`rma`] — RMA failure tickets with the paper's Table II taxonomy
 //!   (software / boot / hardware / other, with per-category fault types);
-//! * [`frame`] — zero-copy columnar frames: contiguous typed column
-//!   buffers, shared category dictionaries, borrowed row views;
-//! * [`table`] — a typed columnar table (continuous / nominal / ordinal
-//!   columns) used as the dataset representation for CART, a thin wrapper
-//!   over [`frame::Frame`];
+//! * [`frame`] — typed columnar frames (continuous / nominal / ordinal
+//!   columns with shared category dictionaries), the dataset
+//!   representation for CART;
 //! * [`schema`] — the canonical candidate-feature schema (Table III);
 //! * [`metrics`] — the paper's two failure metrics: generation rate λ and
 //!   concurrent-failure count μ, at arbitrary spatial × temporal
@@ -30,7 +28,6 @@ pub mod metrics;
 pub mod quality;
 pub mod rma;
 pub mod schema;
-pub mod table;
 pub mod time;
 
 mod error;

@@ -152,19 +152,6 @@ impl WindowedSeries {
         values.sort_unstable();
         rainshine_stats::ecdf::quantile_with_zeros(&values, self.windows, q)
     }
-
-    /// All per-window values including zeros, as `f64` — for feeding ECDFs
-    /// and plots. `O(windows)` memory; prefer the sparse accessors for large
-    /// spans.
-    pub fn to_dense(&self) -> Vec<f64> {
-        let mut out = vec![0.0; self.windows as usize];
-        for (&w, &v) in &self.nonzero {
-            if (w as usize) < out.len() {
-                out[w as usize] = v as f64;
-            }
-        }
-        out
-    }
 }
 
 /// λ: tickets opened per (spatial unit, time window).
@@ -473,7 +460,9 @@ mod tests {
         assert!((s.mean() - 0.6).abs() < 1e-12);
         assert_eq!(s.max(), 4);
         // Dense check of stddev.
-        let dense = s.to_dense();
+        let mut dense = vec![0.0; 10];
+        dense[3] = 2.0;
+        dense[7] = 4.0;
         let batch = rainshine_stats::describe::Summary::from_slice(&dense).unwrap();
         assert!((s.stddev() - batch.sample_stddev()).abs() < 1e-12);
     }

@@ -2,10 +2,10 @@
 //! must survive JSON serialization unchanged, since the experiment harness
 //! persists them.
 
+use rainshine_telemetry::frame::{FeatureKind, Field, Frame, FrameBuilder, Schema, Value};
 use rainshine_telemetry::ids::{DcId, DeviceId, RackId, RegionId, RowId, ServerId, ServerLocation};
 use rainshine_telemetry::metrics::WindowedSeries;
 use rainshine_telemetry::rma::{FaultKind, HardwareFault, RmaTicket};
-use rainshine_telemetry::table::{FeatureKind, Field, Schema, Table, TableBuilder, Value};
 use rainshine_telemetry::time::SimTime;
 
 #[test]
@@ -37,7 +37,7 @@ fn table_roundtrips_through_json() {
         Field::new("k", FeatureKind::Nominal),
         Field::new("o", FeatureKind::Ordinal),
     ]);
-    let mut b = TableBuilder::new(schema);
+    let mut b = FrameBuilder::new(schema);
     for i in 0..5 {
         b.push_row(vec![
             Value::Continuous(i as f64),
@@ -46,9 +46,9 @@ fn table_roundtrips_through_json() {
         ])
         .unwrap();
     }
-    let table = b.build();
+    let table = b.build().unwrap();
     let json = serde_json::to_string(&table).unwrap();
-    let back: Table = serde_json::from_str(&json).unwrap();
+    let back: Frame = serde_json::from_str(&json).unwrap();
     assert_eq!(table, back);
     assert_eq!(back.nominal_label("k", 3).unwrap(), "c1");
 }

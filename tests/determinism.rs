@@ -1,23 +1,17 @@
-//! Determinism suite: runs the full pipeline — dcsim → cart (forest + PDP)
-//! → q1/q2/q3 → bootstrap — once per thread-count policy and diffs the
-//! *serialized* results. Every parallel stage derives per-item RNG streams
-//! from the stage seed and merges in item order, so the byte-for-byte
-//! output must not depend on how many worker threads ran it.
+//! Determinism suite: runs the pipeline — dcsim → q1/q2/q3 — once per
+//! thread-count policy and diffs the *serialized* results. Ticket
+//! generation derives per-rack / per-DC RNG streams from the run seed and
+//! merges in item order, so the byte-for-byte output must not depend on
+//! how many worker threads ran it.
 
 use rainshine::analysis::dataset::{rack_day_table, FaultFilter};
 use rainshine::analysis::q1::{provision_components, provision_servers, ProvisionParams};
 use rainshine::analysis::q2::{mf_comparison, sf_comparison};
 use rainshine::analysis::q3::{dc_subset, env_analysis};
-use rainshine::cart::dataset::CartDataset;
-use rainshine::cart::forest::{Forest, ForestParams};
 use rainshine::cart::params::CartParams;
-use rainshine::cart::pdp::{grid_over_column, partial_dependence_continuous_with, PdpParams};
-use rainshine::cart::tree::Tree;
 use rainshine::dcsim::{FleetConfig, Simulation};
 use rainshine::parallel::Parallelism;
-use rainshine::stats::bootstrap::bootstrap_ci_seeded;
 use rainshine::telemetry::ids::{Sku, Workload};
-use rainshine::telemetry::schema::columns;
 use rainshine::telemetry::time::TimeGranularity;
 
 /// Runs the whole pipeline under one thread policy and serializes every
@@ -33,32 +27,9 @@ fn pipeline(parallelism: Parallelism) -> Vec<(&'static str, String)> {
     let output = Simulation::new(config, 2024).run();
     stages.push(("dcsim/tickets", json(&output.tickets)));
 
-    // cart: forest fitting fans out per tree, PDP per grid point.
     let table = rack_day_table(&output, FaultFilter::AllHardware, 1)
         .expect("small fleet produces rack-days");
-    let ds = CartDataset::regression(
-        &table,
-        columns::FAILURE_RATE,
-        &[columns::AGE_MONTHS, columns::SKU, columns::WORKLOAD, columns::TEMPERATURE_F],
-    )
-    .expect("analysis schema has these columns");
     let tree_params = CartParams::default().with_min_sizes(100, 50).with_cp(0.001);
-    let forest_params =
-        ForestParams { trees: 8, parallelism, tree_params, ..ForestParams::default() };
-    let forest = Forest::fit(&ds, &forest_params).expect("forest fits");
-    stages.push(("cart/forest", json(&forest)));
-
-    let tree = Tree::fit(&ds, &tree_params).expect("tree fits");
-    let grid = grid_over_column(&table, columns::TEMPERATURE_F, 9).expect("grid");
-    let pdp = partial_dependence_continuous_with(
-        &tree,
-        &table,
-        columns::TEMPERATURE_F,
-        &grid,
-        &PdpParams { parallelism },
-    )
-    .expect("pdp evaluates");
-    stages.push(("cart/pdp", json(&pdp)));
 
     // q1: spare provisioning (not Serialize; Debug prints full floats).
     let q1 = provision_servers(
@@ -79,15 +50,6 @@ fn pipeline(parallelism: Parallelism) -> Vec<(&'static str, String)> {
     let dc1 = dc_subset(&table, "DC1").expect("DC1 rows exist");
     let q3 = env_analysis("DC1", &dc1, &tree_params).expect("q3 runs");
     stages.push(("q3/dc1", json(&q3)));
-
-    // stats: seeded bootstrap fans out per replicate.
-    let rates: Vec<f64> =
-        table.continuous(columns::FAILURE_RATE).expect("response column").to_vec();
-    let ci = bootstrap_ci_seeded(&rates, 200, 0.95, 7, parallelism, |xs| {
-        xs.iter().sum::<f64>() / xs.len() as f64
-    })
-    .expect("bootstrap runs");
-    stages.push(("stats/bootstrap", format!("{ci:?}")));
 
     stages
 }
