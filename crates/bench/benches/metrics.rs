@@ -4,7 +4,7 @@
 
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
 use rainshine_dcsim::{FleetConfig, Simulation, SimulationOutput};
-use rainshine_telemetry::metrics::{lambda, mu, peak_concurrency, SpatialGranularity};
+use rainshine_telemetry::metrics::{lambda, mu, SpatialGranularity};
 use rainshine_telemetry::time::TimeGranularity;
 
 fn sim() -> SimulationOutput {
@@ -43,22 +43,6 @@ fn bench_mu_granularity_ablation(c: &mut Criterion) {
     group.finish();
 }
 
-fn bench_peak_concurrency(c: &mut Criterion) {
-    let out = sim();
-    let tickets = out.hardware_tickets();
-    c.bench_function("peak_concurrency_daily", |b| {
-        b.iter(|| {
-            peak_concurrency(
-                &tickets,
-                SpatialGranularity::Rack,
-                TimeGranularity::Daily,
-                out.config.start,
-                out.config.end,
-            )
-        })
-    });
-}
-
 fn bench_spatial_granularities(c: &mut Criterion) {
     let out = sim();
     let tickets = out.hardware_tickets();
@@ -75,11 +59,5 @@ fn bench_spatial_granularities(c: &mut Criterion) {
     group.finish();
 }
 
-criterion_group!(
-    benches,
-    bench_lambda,
-    bench_mu_granularity_ablation,
-    bench_peak_concurrency,
-    bench_spatial_granularities
-);
+criterion_group!(benches, bench_lambda, bench_mu_granularity_ablation, bench_spatial_granularities);
 criterion_main!(benches);

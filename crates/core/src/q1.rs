@@ -187,6 +187,43 @@ pub fn rack_deficits(
     Ok(out)
 }
 
+/// MF clustering: fits CART on each rack's required spare fraction and
+/// groups the racks by leaf.
+///
+/// The map is a `BTreeMap` because callers iterate it for order-sensitive
+/// float sums and the cluster listing, so leaves must come out sorted.
+///
+/// # Errors
+///
+/// Returns [`AnalysisError::NoData`] if the rack table names a rack that
+/// has no deficits, or any underlying table/tree error.
+fn mf_clusters<'a>(
+    output: &SimulationOutput,
+    deficits: &'a [RackDeficits],
+    params: &ProvisionParams,
+) -> Result<(Tree, BTreeMap<usize, Vec<&'a RackDeficits>>)> {
+    let response: HashMap<RackId, f64> =
+        deficits.iter().map(|r| (r.rack, r.fraction(params.coverage))).collect();
+    let table = rack_table(output, &response)?;
+    let ds = CartDataset::regression(&table, columns::FAILURE_RATE, CLUSTER_FEATURES)?;
+    let tree = Tree::fit(&ds, &params.cart)?;
+    let leaves = tree.leaf_assignments(&table)?;
+    let rack_col = table.categories(columns::RACK)?;
+    let rack_codes = table.nominal_codes(columns::RACK)?;
+    // `rack_table` labels each rack with its id's `Display` form.
+    let by_label: HashMap<String, &RackDeficits> =
+        deficits.iter().map(|r| (r.rack.to_string(), r)).collect();
+    let mut clusters: BTreeMap<usize, Vec<&RackDeficits>> = BTreeMap::new();
+    for (row, &leaf) in leaves.iter().enumerate() {
+        let label = &rack_col[rack_codes[row] as usize];
+        let rack = by_label.get(label.as_str()).ok_or_else(|| AnalysisError::NoData {
+            what: format!("rack table row {row} names rack {label}, which has no deficits"),
+        })?;
+        clusters.entry(leaf).or_default().push(rack);
+    }
+    Ok((tree, clusters))
+}
+
 /// One provisioning approach's outcome.
 #[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
 pub struct ApproachResult {
@@ -269,24 +306,7 @@ pub fn provision_servers(
     let sf_spares = sf_fraction * servers;
 
     // MF: cluster racks with CART on per-rack required fraction.
-    let response: HashMap<RackId, f64> =
-        deficits.iter().map(|r| (r.rack, r.fraction(params.coverage))).collect();
-    let table = rack_table(output, &response)?;
-    let ds = CartDataset::regression(&table, columns::FAILURE_RATE, CLUSTER_FEATURES)?;
-    let tree = Tree::fit(&ds, &params.cart)?;
-    let leaves = tree.leaf_assignments(&table)?;
-    let rack_col = table.categories(columns::RACK)?;
-    let rack_codes = table.nominal_codes(columns::RACK)?;
-    let by_id: HashMap<RackId, &RackDeficits> = deficits.iter().map(|r| (r.rack, r)).collect();
-
-    // BTreeMap: iterated below, and the float accumulation plus cluster
-    // listing are order-sensitive — keys must come out sorted.
-    let mut cluster_map: BTreeMap<usize, Vec<&RackDeficits>> = BTreeMap::new();
-    for row in 0..table.rows() {
-        let label = &rack_col[rack_codes[row] as usize];
-        let rack_id = RackId(label.trim_start_matches('R').parse().expect("rack label"));
-        cluster_map.entry(leaves[row]).or_default().push(by_id[&rack_id]);
-    }
+    let (tree, cluster_map) = mf_clusters(output, &deficits, params)?;
     let mut mf_spares = 0.0;
     let mut clusters = Vec::new();
     for (leaf, members) in &cluster_map {
@@ -303,8 +323,7 @@ pub fn provision_servers(
             cdf: cdf_points(&per_rack_pct),
         });
     }
-    clusters
-        .sort_by(|a, b| a.spare_fraction.partial_cmp(&b.spare_fraction).expect("finite fractions"));
+    clusters.sort_by(|a, b| a.spare_fraction.total_cmp(&b.spare_fraction));
     for (i, c) in clusters.iter_mut().enumerate() {
         c.id = i + 1;
     }
@@ -375,22 +394,7 @@ fn spares_triple(
     let all: Vec<&RackDeficits> = deficits.iter().collect();
     let sf = pooled_fraction_quantile(&all, params.coverage) * servers;
     // MF clustering on this filter's per-rack fractions.
-    let response: HashMap<RackId, f64> =
-        deficits.iter().map(|r| (r.rack, r.fraction(params.coverage))).collect();
-    let table = rack_table(output, &response)?;
-    let ds = CartDataset::regression(&table, columns::FAILURE_RATE, CLUSTER_FEATURES)?;
-    let tree = Tree::fit(&ds, &params.cart)?;
-    let leaves = tree.leaf_assignments(&table)?;
-    let rack_col = table.categories(columns::RACK)?;
-    let rack_codes = table.nominal_codes(columns::RACK)?;
-    let by_id: HashMap<RackId, &RackDeficits> = deficits.iter().map(|r| (r.rack, r)).collect();
-    // BTreeMap: values() feeds an order-sensitive float sum below.
-    let mut cluster_map: BTreeMap<usize, Vec<&RackDeficits>> = BTreeMap::new();
-    for row in 0..table.rows() {
-        let label = &rack_col[rack_codes[row] as usize];
-        let rack_id = RackId(label.trim_start_matches('R').parse().expect("rack label"));
-        cluster_map.entry(leaves[row]).or_default().push(by_id[&rack_id]);
-    }
+    let (_, cluster_map) = mf_clusters(output, &deficits, params)?;
     let mut mf = 0.0;
     for members in cluster_map.values() {
         let fraction = pooled_fraction_quantile(members, params.coverage);

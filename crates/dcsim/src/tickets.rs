@@ -179,21 +179,6 @@ fn hardware_for_rack<R: Rng + ?Sized>(
     out
 }
 
-/// Generates hardware tickets for the whole observation span from one
-/// shared RNG stream (racks processed in order).
-pub fn generate_hardware<R: Rng + ?Sized>(
-    fleet: &Fleet,
-    config: &FleetConfig,
-    env: &EnvModel,
-    rng: &mut R,
-) -> Vec<RmaTicket> {
-    let mut out = Vec::new();
-    for rack in &fleet.racks {
-        out.extend(hardware_for_rack(rack, config, env, rng));
-    }
-    out
-}
-
 /// Generates hardware tickets with one seed-derived RNG stream per rack,
 /// so racks evaluate in parallel; results merge in rack order, making
 /// the stream a pure function of `seed` regardless of thread count.
@@ -214,21 +199,9 @@ pub fn generate_hardware_par(
 /// Generates correlated failure bursts: rare rack-level events (PDU trips,
 /// bad-batch storms) that take several servers of one rack down
 /// *simultaneously*. These produce the heavy upper tail of μ that drives
-/// 100 %-SLA spare provisioning (Figs. 10–12).
-pub fn generate_bursts<R: Rng + ?Sized>(
-    fleet: &Fleet,
-    config: &FleetConfig,
-    rng: &mut R,
-) -> Vec<RmaTicket> {
-    let mut out = Vec::new();
-    for rack in &fleet.racks {
-        out.extend(bursts_for_rack(rack, config, rng));
-    }
-    out
-}
-
-/// Generates burst tickets with one seed-derived RNG stream per rack;
-/// deterministic at any thread count (see [`generate_hardware_par`]).
+/// 100 %-SLA spare provisioning (Figs. 10–12). One seed-derived RNG stream
+/// per rack; deterministic at any thread count (see
+/// [`generate_hardware_par`]).
 pub fn generate_bursts_par(
     fleet: &Fleet,
     config: &FleetConfig,
@@ -299,22 +272,8 @@ fn bursts_for_rack<R: Rng + ?Sized>(
 
 /// Generates software / boot / other tickets so that the overall per-DC
 /// category mix matches Table II in expectation, anchored to the realized
-/// hardware ticket count of each DC.
-pub fn generate_non_hardware<R: Rng + ?Sized>(
-    fleet: &Fleet,
-    config: &FleetConfig,
-    hardware: &[RmaTicket],
-    rng: &mut R,
-) -> Vec<RmaTicket> {
-    let mut out = Vec::new();
-    for dc in [DcId(1), DcId(2)] {
-        out.extend(non_hardware_for_dc(fleet, config, hardware, dc, rng));
-    }
-    out
-}
-
-/// Generates non-hardware tickets with one seed-derived RNG stream per
-/// DC; deterministic at any thread count (see [`generate_hardware_par`]).
+/// hardware ticket count of each DC. One seed-derived RNG stream per DC;
+/// deterministic at any thread count (see [`generate_hardware_par`]).
 pub fn generate_non_hardware_par(
     fleet: &Fleet,
     config: &FleetConfig,
@@ -455,8 +414,7 @@ mod tests {
     #[test]
     fn hardware_tickets_are_valid_and_in_span() {
         let (fleet, config, env) = setup();
-        let mut rng = StdRng::seed_from_u64(1);
-        let tickets = generate_hardware(&fleet, &config, &env, &mut rng);
+        let tickets = generate_hardware_par(&fleet, &config, &env, 1, Parallelism::Sequential);
         assert!(!tickets.is_empty());
         for t in &tickets {
             assert!(t.validate().is_ok());
@@ -470,8 +428,7 @@ mod tests {
     #[test]
     fn hardware_tickets_only_on_active_racks() {
         let (fleet, config, env) = setup();
-        let mut rng = StdRng::seed_from_u64(2);
-        let tickets = generate_hardware(&fleet, &config, &env, &mut rng);
+        let tickets = generate_hardware_par(&fleet, &config, &env, 2, Parallelism::Sequential);
         for t in &tickets {
             let rack = fleet.rack(t.location.rack).expect("known rack");
             assert!(rack.is_active(t.opened), "ticket before commissioning");
@@ -481,9 +438,8 @@ mod tests {
     #[test]
     fn non_hardware_mix_tracks_table_ii() {
         let (fleet, config, env) = setup();
-        let mut rng = StdRng::seed_from_u64(3);
-        let hw = generate_hardware(&fleet, &config, &env, &mut rng);
-        let sw = generate_non_hardware(&fleet, &config, &hw, &mut rng);
+        let hw = generate_hardware_par(&fleet, &config, &env, 3, Parallelism::Sequential);
+        let sw = generate_non_hardware_par(&fleet, &config, &hw, 3, Parallelism::Sequential);
         assert!(!sw.is_empty());
         // Software should dominate: 45-57% of all per Table II.
         let all = hw.len() + sw.len();
@@ -500,7 +456,7 @@ mod tests {
     fn false_positive_volume_matches_rate() {
         let (fleet, config, env) = setup();
         let mut rng = StdRng::seed_from_u64(4);
-        let hw = generate_hardware(&fleet, &config, &env, &mut rng);
+        let hw = generate_hardware_par(&fleet, &config, &env, 4, Parallelism::Sequential);
         let fps = inject_false_positives(&hw, 0.08, config.end, &mut rng);
         let expected = hw.len() as f64 * 0.08 / 0.92;
         assert!((fps.len() as f64 - expected).abs() <= 1.0);
@@ -512,7 +468,7 @@ mod tests {
     fn zero_rate_no_false_positives() {
         let (fleet, config, env) = setup();
         let mut rng = StdRng::seed_from_u64(5);
-        let hw = generate_hardware(&fleet, &config, &env, &mut rng);
+        let hw = generate_hardware_par(&fleet, &config, &env, 5, Parallelism::Sequential);
         assert!(inject_false_positives(&hw, 0.0, config.end, &mut rng).is_empty());
         assert!(inject_false_positives(&[], 0.1, config.end, &mut rng).is_empty());
     }
@@ -532,8 +488,7 @@ mod tests {
         use std::collections::{BTreeMap, BTreeSet};
         let config = FleetConfig::medium();
         let fleet = Fleet::build(&config);
-        let mut rng = StdRng::seed_from_u64(8);
-        let bursts = generate_bursts(&fleet, &config, &mut rng);
+        let bursts = generate_bursts_par(&fleet, &config, 8, Parallelism::Sequential);
         assert!(!bursts.is_empty(), "medium fleet over a year should see bursts");
         // Group by (rack, opened): each burst's tickets share one rack and
         // hit distinct servers.
@@ -552,8 +507,7 @@ mod tests {
     fn burst_attribution_matches_chassis() {
         let config = FleetConfig::medium();
         let fleet = Fleet::build(&config);
-        let mut rng = StdRng::seed_from_u64(8);
-        let bursts = generate_bursts(&fleet, &config, &mut rng);
+        let bursts = generate_bursts_par(&fleet, &config, 8, Parallelism::Sequential);
         for t in &bursts {
             let rack = fleet.rack(t.location.rack).expect("known rack");
             if rack.sku_spec().disks_per_server >= 8 {
@@ -567,8 +521,7 @@ mod tests {
     #[test]
     fn repair_times_clamped() {
         let (fleet, config, env) = setup();
-        let mut rng = StdRng::seed_from_u64(6);
-        let tickets = generate_hardware(&fleet, &config, &env, &mut rng);
+        let tickets = generate_hardware_par(&fleet, &config, &env, 6, Parallelism::Sequential);
         for t in &tickets {
             assert!(t.outage_hours() >= 1 || t.resolved == config.end);
             assert!(t.outage_hours() <= MAX_REPAIR_HOURS as u64);
@@ -578,10 +531,10 @@ mod tests {
     #[test]
     fn generation_is_seed_deterministic() {
         let (fleet, config, env) = setup();
-        let t1 = generate_hardware(&fleet, &config, &env, &mut StdRng::seed_from_u64(42));
-        let t2 = generate_hardware(&fleet, &config, &env, &mut StdRng::seed_from_u64(42));
+        let t1 = generate_hardware_par(&fleet, &config, &env, 42, Parallelism::Sequential);
+        let t2 = generate_hardware_par(&fleet, &config, &env, 42, Parallelism::Sequential);
         assert_eq!(t1, t2);
-        let t3 = generate_hardware(&fleet, &config, &env, &mut StdRng::seed_from_u64(43));
+        let t3 = generate_hardware_par(&fleet, &config, &env, 43, Parallelism::Sequential);
         assert_ne!(t1, t3);
     }
 }

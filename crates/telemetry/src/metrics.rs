@@ -71,7 +71,7 @@ impl SpatialGranularity {
     }
 }
 
-/// A sparse per-window count distribution (λ) or max-concurrency
+/// A sparse per-window count distribution (λ) or distinct-device
 /// distribution (μ) over a fixed number of windows.
 #[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
 pub struct WindowedSeries {
@@ -110,16 +110,6 @@ impl WindowedSeries {
         }
         let w = w.min(self.windows - 1);
         *self.nonzero.entry(w).or_insert(0) += delta;
-    }
-
-    /// Raises window `w` to at least `value`, clamping like [`Self::add`].
-    pub fn record_max(&mut self, w: u64, value: u64) {
-        if self.windows == 0 || value == 0 {
-            return;
-        }
-        let w = w.min(self.windows - 1);
-        let slot = self.nonzero.entry(w).or_insert(0);
-        *slot = (*slot).max(value);
     }
 
     /// Sample standard deviation per window (zero-inclusive). Zero for
@@ -192,9 +182,15 @@ pub fn lambda(
 /// daily granularity but only one at hourly granularity — the temporal
 /// multiplexing the paper exploits in Fig. 12. Tickets still open at `end`
 /// are clamped; a ticket with `resolved == opened` still occupies its
-/// opening window.
+/// opening window. A unit with an in-span ticket but a zero-window span
+/// (`end <= start`) maps to an empty series.
 ///
-/// See [`peak_concurrency`] for the instantaneous-overlap variant.
+/// Computed as a sort-and-sweep over window indices: each ticket becomes
+/// one `(unit, device, first window, last window)` span, each device's
+/// overlapping or adjacent spans merge (so a device down twice in one
+/// window counts once), and a sweep over the `+1`/`−1` span edges yields
+/// the per-window device count. The cost is O(n log n) in a unit's tickets
+/// plus one write per non-zero window, whatever the outages' lengths.
 pub fn mu(
     tickets: &[&RmaTicket],
     spatial: SpatialGranularity,
@@ -204,9 +200,8 @@ pub fn mu(
 ) -> BTreeMap<SpatialKey, WindowedSeries> {
     let windows = temporal.window_count(start, end);
     let base = temporal.window_of(start);
-    // (unit, window) -> distinct devices.
-    let mut per_unit: BTreeMap<SpatialKey, BTreeMap<u64, std::collections::BTreeSet<u64>>> =
-        BTreeMap::new();
+    // (unit, device, first window, last window), inclusive.
+    let mut spans: Vec<(SpatialKey, u64, u64, u64)> = Vec::with_capacity(tickets.len());
     for t in tickets {
         if t.resolved < start || t.opened >= end {
             continue;
@@ -218,81 +213,46 @@ pub fn mu(
             .window_of(SimTime(close - 1))
             .saturating_sub(base)
             .min(windows.saturating_sub(1));
-        let unit = per_unit.entry(spatial.key(&t.location)).or_default();
-        for w in w_from..=w_to {
-            unit.entry(w).or_default().insert(t.device.0);
-        }
+        spans.push((spatial.key(&t.location), t.device.0, w_from, w_to));
     }
-    per_unit
-        .into_iter()
-        .map(|(key, by_window)| {
-            let mut series = WindowedSeries::zeros(windows);
-            for (w, devices) in by_window {
-                series.add(w, devices.len() as u64);
-            }
-            (key, series)
-        })
-        .collect()
-}
+    spans.sort_unstable();
 
-/// Peak instantaneous concurrency of open tickets per (spatial unit, time
-/// window): within a window the value is the *maximum* number of
-/// simultaneously open tickets. Unlike [`mu`], non-overlapping outages in
-/// the same window do not stack.
-pub fn peak_concurrency(
-    tickets: &[&RmaTicket],
-    spatial: SpatialGranularity,
-    temporal: TimeGranularity,
-    start: SimTime,
-    end: SimTime,
-) -> BTreeMap<SpatialKey, WindowedSeries> {
-    let windows = temporal.window_count(start, end);
-    let base = temporal.window_of(start);
-    // Group intervals per unit.
-    let mut per_unit: BTreeMap<SpatialKey, Vec<(u64, u64)>> = BTreeMap::new();
-    for t in tickets {
-        if t.resolved < start || t.opened >= end {
-            continue;
-        }
-        let open = t.opened.hours().max(start.hours());
-        // Half-open [open, close), minimum one hour of occupancy.
-        let close = t.resolved.hours().clamp(open + 1, end.hours().max(open + 1));
-        per_unit.entry(spatial.key(&t.location)).or_default().push((open, close));
-    }
     let mut out = BTreeMap::new();
-    for (key, intervals) in per_unit {
+    let mut edges: Vec<(u64, i64)> = Vec::new();
+    for unit in spans.chunk_by(|a, b| a.0 == b.0) {
         let mut series = WindowedSeries::zeros(windows);
-        // Event sweep: +1 at open, −1 at close.
-        let mut events: Vec<(u64, i64)> = Vec::with_capacity(intervals.len() * 2);
-        for (open, close) in &intervals {
-            events.push((*open, 1));
-            events.push((*close, -1));
+        // With windows > 0 every span satisfies w_from <= w_to < windows; a
+        // zero-window span keeps the unit but counts nothing.
+        if windows > 0 {
+            edges.clear();
+            for device in unit.chunk_by(|a, b| a.1 == b.1) {
+                // Spans are sorted by first window: merge overlapping or
+                // adjacent ranges into one run per stretch of downtime.
+                let (mut from, mut to) = (device[0].2, device[0].3);
+                for &(_, _, w_from, w_to) in &device[1..] {
+                    if w_from > to + 1 {
+                        edges.extend([(from, 1), (to + 1, -1)]);
+                        from = w_from;
+                    }
+                    to = to.max(w_to);
+                }
+                edges.extend([(from, 1), (to + 1, -1)]);
+            }
+            edges.sort_unstable();
+            let mut cells: Vec<(u64, u64)> = Vec::new();
+            // `down` devices are unavailable from one edge to the next; the
+            // last edge closes every run.
+            let mut down: i64 = 0;
+            let mut groups = edges.chunk_by(|a, b| a.0 == b.0).peekable();
+            while let Some(group) = groups.next() {
+                down += group.iter().map(|e| e.1).sum::<i64>();
+                if let Some(next) = groups.peek().filter(|_| down > 0) {
+                    cells.extend((group[0].0..next[0].0).map(|w| (w, down as u64)));
+                }
+            }
+            series.nonzero = cells.into_iter().collect();
         }
-        events.sort_unstable();
-        let mut concurrency: i64 = 0;
-        let mut i = 0;
-        while i < events.len() {
-            let t = events[i].0;
-            // Apply all events at this instant.
-            while i < events.len() && events[i].0 == t {
-                concurrency += events[i].1;
-                i += 1;
-            }
-            if concurrency <= 0 {
-                continue;
-            }
-            // Concurrency holds on [t, next_event_or_end).
-            let span_end = if i < events.len() { events[i].0 } else { end.hours() };
-            let w_from = temporal.window_of(SimTime(t)).saturating_sub(base);
-            let w_to = temporal
-                .window_of(SimTime(span_end.max(t + 1) - 1))
-                .saturating_sub(base)
-                .min(windows.saturating_sub(1));
-            for w in w_from..=w_to {
-                series.record_max(w, concurrency as u64);
-            }
-        }
-        out.insert(key, series);
+        out.insert(unit[0].0, series);
     }
     out
 }
@@ -411,21 +371,6 @@ mod tests {
     }
 
     #[test]
-    fn peak_concurrency_ignores_non_overlap() {
-        let tickets = [ticket(1, 1, 1, 3), ticket(1, 2, 10, 12)];
-        let refs: Vec<&RmaTicket> = tickets.iter().collect();
-        let daily = peak_concurrency(
-            &refs,
-            SpatialGranularity::Rack,
-            TimeGranularity::Daily,
-            SimTime(0),
-            SimTime(24),
-        );
-        let key = SpatialGranularity::Rack.key(&tickets[0].location);
-        assert_eq!(daily[&key].max(), 1, "never simultaneously open");
-    }
-
-    #[test]
     fn mu_instant_ticket_occupies_opening_window() {
         let tickets = [ticket(1, 1, 5, 5)];
         let refs: Vec<&RmaTicket> = tickets.iter().collect();
@@ -513,14 +458,12 @@ mod tests {
     fn add_clamps_out_of_range_windows() {
         let mut s = WindowedSeries::zeros(4);
         s.add(99, 2);
-        s.record_max(1_000_000, 5);
         assert_eq!(s.nonzero.len(), 1);
-        assert_eq!(s.nonzero[&3], 5);
-        assert_eq!(s.max(), 5);
+        assert_eq!(s.nonzero[&3], 2);
+        assert_eq!(s.max(), 2);
         // Zero-window spans swallow writes instead of panicking.
         let mut empty = WindowedSeries::zeros(0);
         empty.add(0, 1);
-        empty.record_max(0, 1);
         assert!(empty.nonzero.is_empty());
     }
 
